@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   wc.num_sets = config.sets_per_point;
   wc.seed = config.seed;
   wc.jobs = config.jobs;
-  wc.batch = get_batch(flags, wc.num_sets);
   const auto worst = experiments::run_worst_case_study(wc);
 
   report.note("\n# Worst-case guarantee (local scheme)\n");

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   flags.declare("seed", "31", "RNG seed");
   obs::RunReport report("async_capacity");
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv,
-                                   {.jobs = false, .batch = false})) {
+                                   {.jobs = false})) {
     return *rc;
   }
 

@@ -21,14 +21,12 @@ namespace {
 
 breakdown::BreakdownEstimate estimate_with_samples(
     const experiments::PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& factory, BitsPerSecond bw,
-    std::size_t sets, std::uint64_t seed, std::size_t batch,
-    const exec::Executor& executor) {
+    const breakdown::ScaleKernelFactory& factory, BitsPerSecond bw,
+    std::size_t sets, std::uint64_t seed, const exec::Executor& executor) {
   msg::MessageSetGenerator gen(setup.generator_config());
   breakdown::MonteCarloOptions options;
   options.num_sets = sets;
   options.keep_samples = true;
-  options.batch_size = batch;
   return breakdown::estimate_breakdown_utilization(gen, factory, bw, seed,
                                                    executor, options);
 }
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
   setup.num_stations = static_cast<int>(flags.get_int("stations"));
   const auto sets = static_cast<std::size_t>(flags.get_int("sets"));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const auto batch = get_batch(flags, sets);
   const exec::Executor executor(get_jobs(flags));
 
   report.note(
@@ -60,28 +57,28 @@ int main(int argc, char** argv) {
 
   struct Proto {
     const char* name;
-    std::function<breakdown::BatchScaleKernelFactory(BitsPerSecond)> factory;
+    std::function<breakdown::ScaleKernelFactory(BitsPerSecond)> factory;
   };
   const Proto protos[] = {
       {"ieee8025",
        [&](BitsPerSecond bw) {
-         return setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025,
-                                               bw);
+         return setup.pdp_kernel_factory(analysis::PdpVariant::kStandard8025,
+                                         bw);
        }},
       {"modified8025",
        [&](BitsPerSecond bw) {
-         return setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025,
-                                               bw);
+         return setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025,
+                                         bw);
        }},
       {"fddi",
-       [&](BitsPerSecond bw) { return setup.ttp_batch_kernel_factory(bw); }},
+       [&](BitsPerSecond bw) { return setup.ttp_kernel_factory(bw); }},
   };
 
   for (double bw_mbps : parse_double_list(flags.get_string("bandwidths-mbps"))) {
     const BitsPerSecond bw = mbps(bw_mbps);
     for (const auto& proto : protos) {
       const auto est = estimate_with_samples(setup, proto.factory(bw), bw,
-                                             sets, seed, batch, executor);
+                                             sets, seed, executor);
       table.add_row({proto.name, fmt(bw_mbps, 0), fmt(est.quantile(0.05)),
                      fmt(est.quantile(0.25)), fmt(est.quantile(0.5)),
                      fmt(est.quantile(0.75)), fmt(est.quantile(0.95)),

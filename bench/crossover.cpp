@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
   config.station_counts.clear();
   for (double v : parse_double_list(flags.get_string("stations"))) {
     config.station_counts.push_back(static_cast<int>(v));

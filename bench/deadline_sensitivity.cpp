@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
   config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
   config.deadline_fractions = parse_double_list(flags.get_string("fractions"));
 

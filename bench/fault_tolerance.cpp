@@ -58,7 +58,6 @@ int main(int argc, char** argv) {
   config.kinds = parse_kinds(flags.get_string("kinds"));
   config.noise_duration = milliseconds(flags.get_double("noise-ms"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
   config.fault_counts.clear();
   for (double c : parse_double_list(flags.get_string("counts"))) {
     config.fault_counts.push_back(static_cast<int>(c));

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -166,27 +165,24 @@ void BM_SaturationSearchTtpKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_SaturationSearchTtpKernel)->Arg(10)->Arg(100)->Arg(1000);
 
-// Batched (SoA) saturation: B independent boundary searches advanced in
-// lockstep by one batch kernel vs the same B searches run one scalar
-// kernel at a time. Same sets, same probe sequences, bit-identical
-// results (pinned by tests) — the pair isolates the SoA/vectorization
-// win. Arg = lanes per batch.
-std::vector<msg::MessageSet> make_lane_sets(int n, std::size_t lanes,
+// Many-set saturation: one boundary search per set, each with its own
+// scalar kernel, as the Monte Carlo estimator runs them. Arg = sets.
+std::vector<msg::MessageSet> make_base_sets(int n, std::size_t count,
                                             std::uint64_t seed) {
   std::vector<msg::MessageSet> bases;
-  bases.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    bases.push_back(make_set(n, seed + lane, 1.0));
+  bases.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    bases.push_back(make_set(n, seed + k, 1.0));
   }
   return bases;
 }
 
 void BM_SaturationScalarPdp(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const auto sets = static_cast<std::size_t>(state.range(0));
   const int n = 100;
   const BitsPerSecond bw = mbps(16);
   const auto params = setup_for(n).pdp_params(analysis::PdpVariant::kModified8025);
-  const auto bases = make_lane_sets(n, lanes, 3);
+  const auto bases = make_base_sets(n, sets, 3);
   for (auto _ : state) {
     double acc = 0.0;
     for (const auto& base : bases) {
@@ -197,43 +193,17 @@ void BM_SaturationScalarPdp(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
+                          static_cast<std::int64_t>(sets));
 }
 BENCHMARK(BM_SaturationScalarPdp)->Arg(8)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_SaturationBatchPdp(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const int n = 100;
-  const BitsPerSecond bw = mbps(16);
-  const auto params = setup_for(n).pdp_params(analysis::PdpVariant::kModified8025);
-  const auto bases = make_lane_sets(n, lanes, 3);
-  for (auto _ : state) {
-    const analysis::PdpBatchKernel kernel(bases, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        bases,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    double acc = 0.0;
-    for (const auto& sat : sats) acc += sat.breakdown_utilization;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK(BM_SaturationBatchPdp)->Arg(8)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_SaturationScalarTtp(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
+  const auto sets = static_cast<std::size_t>(state.range(0));
   const int n = 100;
   const BitsPerSecond bw = mbps(100);
   const auto params = setup_for(n).ttp_params();
-  const auto bases = make_lane_sets(n, lanes, 3);
+  const auto bases = make_base_sets(n, sets, 3);
   for (auto _ : state) {
     double acc = 0.0;
     for (const auto& base : bases) {
@@ -244,82 +214,10 @@ void BM_SaturationScalarTtp(benchmark::State& state) {
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
+                          static_cast<std::int64_t>(sets));
 }
 BENCHMARK(BM_SaturationScalarTtp)->Arg(8)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
-
-void BM_SaturationBatchTtp(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const int n = 100;
-  const BitsPerSecond bw = mbps(100);
-  const auto params = setup_for(n).ttp_params();
-  const auto bases = make_lane_sets(n, lanes, 3);
-  for (auto _ : state) {
-    const analysis::TtpBatchKernel kernel(bases, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        bases,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    double acc = 0.0;
-    for (const auto& sat : sats) acc += sat.breakdown_utilization;
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(lanes));
-}
-BENCHMARK(BM_SaturationBatchTtp)->Arg(8)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMicrosecond);
-
-// Raw kernel-evaluate throughput at a fixed scale, with bytes_per_second
-// reporting the effective memory bandwidth of the probe arithmetic (per
-// full-width pass the TTP kernel streams the base-payload and
-// usable-visits SoA rows and the per-lane accumulators). The scalar
-// counterpart evaluates the same lanes one kernel at a time.
-void BM_TtpEvaluateScalar(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const int n = 100;
-  const BitsPerSecond bw = mbps(100);
-  const auto params = setup_for(n).ttp_params();
-  const auto bases = make_lane_sets(n, lanes, 3);
-  std::vector<analysis::TtpScaleKernel> kernels;
-  kernels.reserve(lanes);
-  for (const auto& base : bases) kernels.emplace_back(base, params, bw);
-  for (auto _ : state) {
-    bool all = true;
-    for (const auto& kernel : kernels) all &= kernel(2.0);
-    benchmark::DoNotOptimize(all);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(
-                              (2 * static_cast<std::size_t>(n) + 1) * lanes *
-                              sizeof(double)));
-}
-BENCHMARK(BM_TtpEvaluateScalar)->Arg(64);
-
-void BM_TtpEvaluateBatch(benchmark::State& state) {
-  const auto lanes = static_cast<std::size_t>(state.range(0));
-  const int n = 100;
-  const BitsPerSecond bw = mbps(100);
-  const auto params = setup_for(n).ttp_params();
-  const auto bases = make_lane_sets(n, lanes, 3);
-  const analysis::TtpBatchKernel kernel(bases, params, bw);
-  const std::vector<double> scales(lanes, 2.0);
-  std::vector<std::uint8_t> verdicts(lanes, 0);
-  for (auto _ : state) {
-    kernel.evaluate(scales, verdicts);
-    benchmark::DoNotOptimize(verdicts.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(
-                              (2 * static_cast<std::size_t>(n) + 1) * lanes *
-                              sizeof(double)));
-}
-BENCHMARK(BM_TtpEvaluateBatch)->Arg(64);
 
 // Allocation cost of one payload scaling: fresh copy vs reuse of one
 // workspace buffer (what every saturation probe used to pay vs pays now).
@@ -498,7 +396,7 @@ int main(int argc, char** argv) {
   obs::RunReport report("micro_schedulability");
   if (auto rc = obs::bootstrap_run(report, flags, report_argc,
                                    report_args.data(),
-                                   {.jobs = false, .batch = false})) {
+                                   {.jobs = false})) {
     return *rc;
   }
 

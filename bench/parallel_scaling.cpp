@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   flags.declare("jobs-list", "1,2,4,8", "worker counts to measure");
   obs::RunReport report("parallel_scaling");
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv,
-                                   {.jobs = false, .batch = false})) {
+                                   {.jobs = false})) {
     return *rc;
   }
 

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
 
   report.note("# Period-distribution ablation at %.0f Mbps (n=%d)\n\n",
               config.bandwidth_mbps, config.setup.num_stations);

@@ -539,10 +539,7 @@ int main(int argc, char** argv) {
                 "parked-connection count for the sweep and the "
                 "BM_ServeManyConns pair (0 = skip both)");
   obs::RunReport report("serve_load");
-  if (auto rc = obs::bootstrap_run(report, flags, argc, argv,
-                                   {.batch = false})) {
-    return *rc;
-  }
+  if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
   serve::Server::Options opt;
   opt.engine.jobs = get_jobs(flags);

@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   obs::RunReport report("sim_scaling");
   if (auto rc = obs::bootstrap_run(report, flags, report_argc,
                                    report_args.data(),
-                                   {.jobs = false, .batch = false})) {
+                                   {.jobs = false})) {
     return *rc;
   }
 

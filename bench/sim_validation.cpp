@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   flags.declare("bandwidths-mbps", "10,100", "bandwidth list [Mbit/s]");
   obs::RunReport report("sim_validation");
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv,
-                                   {.jobs = false, .batch = false})) {
+                                   {.jobs = false})) {
     return *rc;
   }
 

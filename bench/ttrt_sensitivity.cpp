@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   config.sets_per_point = static_cast<std::size_t>(flags.get_int("sets"));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
-  config.batch = get_batch(flags, config.sets_per_point);
   if (flags.get_bool("equal-periods")) {
     config.setup.period_dist = msg::PeriodDistribution::kEqual;
   }

@@ -40,26 +40,12 @@ import sys
 # locally measured factors (2.1-4.0x for the saturation searches, >100x for
 # the screened verdicts) so the gate trips on real behaviour changes, not
 # timer noise.
-#
-# The SoA batch pairs (B = 8/64/256 lanes in lockstep vs the same searches
-# one scalar kernel at a time) are gated on locally measured factors too:
-# the TTP probe loop is divide-throughput-bound (two divpd per element, and
-# per-element divide throughput is the same at every SIMD width), so ~2x is
-# the hardware ceiling for the bit-identical evaluate — measured 1.95x raw
-# (BM_TtpEvaluate*) and ~1.8x across a whole search, where the scalar
-# reference keeps its early exits. The PDP searches are dominated by the
-# exact response-time analysis both paths share, so the batch pair there is
-# an anti-regression gate (lockstep bookkeeping must not cost), not a
-# speedup claim.
 PAIRS = [
     ("BM_SaturationSearchPdpKernel", "BM_SaturationSearchPdp", 1.5),
     ("BM_SaturationSearchTtpKernel", "BM_SaturationSearchTtp", 1.5),
     ("BM_RtaScreened", "BM_RtaExact", 2.0),
     ("BM_LsdIncremental", "BM_LsdExact", 2.0),
     ("BM_ScaledInto", "BM_ScaledCopy", 1.0),
-    ("BM_SaturationBatchPdp", "BM_SaturationScalarPdp", 0.85),
-    ("BM_SaturationBatchTtp", "BM_SaturationScalarTtp", 1.4),
-    ("BM_TtpEvaluateBatch", "BM_TtpEvaluateScalar", 1.5),
     # Frontier vs eager event engine on the same sparse large-ring scenario
     # (bench/sim_scaling.cpp); metrics are pinned bit-identical by
     # tests/sim_engine_test.cpp. Locally measured 25-50x; 10x is the PR's

@@ -146,17 +146,44 @@ FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
   return v;
 }
 
-std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
-                                     std::size_t i, Seconds blocking,
-                                     RtaStatus* status) {
+namespace {
+
+// Fixpoint work done by one caller, counted in locals and added to the obs
+// counters once, when the tally goes out of scope: the saturation probe
+// loop runs hundreds of thousands of fixpoints, so they cannot afford one
+// registry update each. Sums of integers, so the totals are identical for
+// every --jobs count.
+struct RtaTally {
+  std::uint64_t calls = 0;
+  std::uint64_t iterations = 0;
+
+  RtaTally() = default;
+  RtaTally(const RtaTally&) = delete;
+  RtaTally& operator=(const RtaTally&) = delete;
+  ~RtaTally() {
+    static const obs::Counter rta_calls("analysis.rta_calls");
+    static const obs::Counter rta_iterations("analysis.rta_iterations");
+    if (calls == 0) return;
+    rta_calls.add(calls);
+    rta_iterations.add(iterations);
+  }
+};
+
+// The response-time fixpoint for task i, iterated from max(B + C'_i, seed)
+// (see response_time for when a seed is valid).
+std::optional<Seconds> fixpoint(const std::vector<FpTask>& tasks,
+                                std::size_t i, Seconds blocking, Seconds seed,
+                                RtaTally& tally, RtaStatus* status) {
   TR_EXPECTS(i < tasks.size());
+  ++tally.calls;
   const Seconds deadline = tasks[i].effective_deadline();
-  Seconds r = blocking + tasks[i].cost;
+  Seconds r = std::max(blocking + tasks[i].cost, seed);
   if (r > deadline) {
     if (status) *status = RtaStatus::kDeadlineExceeded;
     return std::nullopt;
   }
   for (int iter = 0; iter < kMaxRtaIterations; ++iter) {
+    ++tally.iterations;
     Seconds next = blocking + tasks[i].cost;
     for (std::size_t j = 0; j < i; ++j) {
       next += tasks[j].cost * std::ceil(r / tasks[j].period);
@@ -179,6 +206,23 @@ std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
+                                     std::size_t i, Seconds blocking,
+                                     RtaStatus* status, Seconds seed) {
+  RtaTally tally;
+  return fixpoint(tasks, i, blocking, seed, tally, status);
+}
+
+bool rta_feasible(const std::vector<FpTask>& tasks, Seconds blocking) {
+  RtaTally tally;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!fixpoint(tasks, i, blocking, 0.0, tally, nullptr)) return false;
+  }
+  return true;
+}
+
 FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
                                     Seconds blocking) {
   validate_sorted_tasks(tasks);
@@ -186,9 +230,10 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
   FpSetVerdict v;
   v.schedulable = true;
   v.tasks.resize(tasks.size());
+  RtaTally tally;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     RtaStatus status = RtaStatus::kConverged;
-    auto r = response_time(tasks, i, blocking, &status);
+    auto r = fixpoint(tasks, i, blocking, 0.0, tally, &status);
     v.tasks[i].schedulable = r.has_value();
     v.tasks[i].response_time = r;
     if (status == RtaStatus::kIterationCapReached) ++v.iteration_cap_hits;
@@ -202,15 +247,32 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
 }
 
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
-                       std::size_t* failed_hint) {
+                       std::size_t* failed_hint,
+                       std::span<const Seconds> seeds,
+                       std::span<Seconds> response_times) {
   if (tasks.empty()) return true;
+  TR_EXPECTS(seeds.size() <= tasks.size());
+  TR_EXPECTS(response_times.empty() || response_times.size() == tasks.size());
+  RtaTally tally;
+  // Task i's fixpoint, warm-started from seeds[i] when there is one; on
+  // convergence the response time is recorded for the caller's next seed.
+  const auto schedulable = [&](std::size_t i) {
+    const Seconds seed = i < seeds.size() ? seeds[i] : 0.0;
+    const auto r = fixpoint(tasks, i, blocking, seed, tally, nullptr);
+    if (r && !response_times.empty()) response_times[i] = *r;
+    return r.has_value();
+  };
+  // Tasks that a screen accepts keep the seed they came with.
+  for (std::size_t i = 0; i < response_times.size(); ++i) {
+    response_times[i] = i < seeds.size() ? seeds[i] : 0.0;
+  }
   // Failed-task-first: inside a saturation bisection, the unschedulable
   // side usually fails at the same task as the previous probe; testing it
   // first turns most "false" evaluations into a single fixpoint run.
   const std::size_t hint =
       failed_hint ? *failed_hint : static_cast<std::size_t>(-1);
   if (hint < tasks.size()) {
-    if (!response_time(tasks, hint, blocking)) return false;
+    if (!schedulable(hint)) return false;
   }
   if (utilization_quick_reject(tasks, blocking)) {
     // The proof names the lowest-priority task as the infeasible one.
@@ -220,7 +282,7 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
   HyperbolicScreen screen;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (i != hint && !screen.accepts(tasks[i], blocking)) {
-      if (!response_time(tasks, i, blocking)) {
+      if (!schedulable(i)) {
         if (failed_hint) *failed_hint = i;
         return false;
       }

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "tokenring/common/units.hpp"
@@ -112,12 +113,31 @@ FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
 
 /// Response-time analysis for task `i`:
 ///   r^{m+1} = B + C'_i + sum_{j<i} ceil(r^m / P_j) * C'_j
-/// starting from r^0 = B + C'_i, until fixpoint or r > D_i.
+/// starting from r^0 = max(B + C'_i, seed), until fixpoint or r > D_i.
 /// Returns the response time if schedulable; `status`, when non-null,
 /// distinguishes deadline misses from iteration-cap bailouts.
+///
+/// Warm start (Davis, Zabos and Burns, IEEE TC 2008): a `seed` that is
+/// task i's response time on a set with the same periods, deadlines and
+/// blocking, and with every cost C'_j (j <= i) no larger than here, lies
+/// at or below this set's least fixpoint. Each step is a monotone function
+/// of r and of those costs, in floating point too, so the seeded iteration
+/// reaches the same value, bit for bit, or crosses the same deadline, in
+/// at most as many steps. (Only a run that hits kMaxRtaIterations cold
+/// could end differently: converging instead of bailing out.)
+///
+/// Every fixpoint run, here and in the set-level tests below, is tallied
+/// in the obs counters "analysis.rta_calls" and "analysis.rta_iterations"
+/// (one registry update per call of a public function, not per step).
 std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
                                      std::size_t i, Seconds blocking,
-                                     RtaStatus* status = nullptr);
+                                     RtaStatus* status = nullptr,
+                                     Seconds seed = 0.0);
+
+/// Boolean RTA over the whole set: every task's cold `response_time`
+/// fixpoint in priority order, stopping at the first failure. Same verdict
+/// as `response_time_analysis` without building the per-task report.
+bool rta_feasible(const std::vector<FpTask>& tasks, Seconds blocking);
 
 /// RTA over the whole set. Same verdict as `lsd_point_test_all` (both are
 /// exact for this model); this one is the fast path.
@@ -139,8 +159,17 @@ FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
 /// the verdict matches `response_time_analysis` (screens are margin-guarded
 /// sufficient/necessary conditions; the differential property test pins
 /// the agreement).
+///
+/// Warm start: `seeds[i]`, for i < seeds.size(), seeds task i's fixpoint
+/// as in `response_time` (same validity condition; 0 = no seed).
+/// `response_times`, when non-empty (size == tasks.size()), receives on a
+/// true return each task's response time where its fixpoint ran and its
+/// seed (0 if none) where a screen accepted it; on a false return its
+/// contents are unspecified.
 bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
-                       std::size_t* failed_hint = nullptr);
+                       std::size_t* failed_hint = nullptr,
+                       std::span<const Seconds> seeds = {},
+                       std::span<Seconds> response_times = {});
 
 /// Boolean scheduling-point verdict with the same screens as
 /// `rta_feasible_fast` plus an incremental point walk: per-task point

@@ -1,6 +1,7 @@
 #include "tokenring/analysis/kernels.hpp"
 
 #include <cmath>
+#include <span>
 
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/common/checks.hpp"
@@ -20,6 +21,9 @@ PdpScaleKernel::PdpScaleKernel(const msg::MessageSet& base,
     tasks_[i].period = sorted_[i].period;
     tasks_[i].deadline = sorted_[i].relative_deadline;
   }
+  seeds_.assign(sorted_.size(), 0.0);
+  seed_costs_.reserve(sorted_.size());
+  response_times_.assign(sorted_.size(), 0.0);
 }
 
 bool PdpScaleKernel::operator()(double scale) const {
@@ -33,7 +37,25 @@ bool PdpScaleKernel::operator()(double scale) const {
     s.payload_bits *= scale;
     tasks_[i].cost = pdp_augmented_length(s, params_, bw_);
   }
-  return rta_feasible_fast(tasks_, blocking_, &failed_hint_);
+  // The seeds stay valid up to the first task whose cost fell below the
+  // seeded probe's: a lower scale, or a rounding step of the augmented
+  // length at a frame boundary. From there on the fixpoints start cold.
+  std::size_t warm = 0;
+  while (warm < seed_costs_.size() &&
+         tasks_[warm].cost >= seed_costs_[warm]) {
+    ++warm;
+  }
+  if (!rta_feasible_fast(tasks_, blocking_, &failed_hint_,
+                         std::span<const Seconds>(seeds_).first(warm),
+                         response_times_)) {
+    return false;
+  }
+  seeds_.swap(response_times_);
+  seed_costs_.resize(tasks_.size());
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    seed_costs_[i] = tasks_[i].cost;
+  }
+  return true;
 }
 
 TtpScaleKernel::TtpScaleKernel(const msg::MessageSet& base,

@@ -14,24 +14,17 @@
 // Contract: kernel(a) returns the same verdict as the predicate it
 // replaces evaluated on base.scaled(a), for every a. The scale-dependent
 // arithmetic replays the reference implementations operation for
-// operation (same multiplies, same divides, same accumulation order), and
-// the screens in rta_feasible_fast are margin-guarded exact conditions, so
-// bisection trajectories — and Monte Carlo breakdown utilizations — are
-// bit-identical to the predicate path. The differential property test and
-// the kernel-vs-predicate saturation tests pin this.
-
-// The batch kernels below are the structure-of-arrays siblings: one kernel
-// evaluates B independent trials ("lanes") per pass. Because each lane must
-// replay the scalar accumulation order bit for bit, the vectorization
-// dimension is *across* lanes: per-station values are stored station-major
-// x lane-minor (index = station * lanes + lane), so the inner loop walks a
-// contiguous run of independent lanes the compiler can autovectorize.
+// operation (same multiplies, same divides, same accumulation order), the
+// screens in rta_feasible_fast are margin-guarded exact conditions, and
+// the PDP kernel's warm-started fixpoints land on the cold ones bit for
+// bit, so bisection trajectories — and Monte Carlo breakdown utilizations
+// — are bit-identical to the predicate path. The differential property
+// tests and the kernel-vs-predicate saturation tests pin this.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tokenring/analysis/pdp.hpp"
@@ -45,6 +38,18 @@ namespace tokenring::analysis {
 /// blocking bound; per probe it recomputes the augmented lengths (frame
 /// counts depend on the scaled payload) and runs the screened RTA with a
 /// failed-task-first hint carried across probes.
+///
+/// Warm start: the kernel keeps the response times of its last schedulable
+/// probe, with the costs they were computed from, and seeds every later
+/// probe's fixpoints with them (`rta_feasible_fast`). Response times only
+/// rise with the payload scale, so in a saturation search, where each
+/// schedulable probe lies above the previous one, most fixpoints start
+/// next to their answer. The kernel does not trust the probe order: a seed
+/// is used only while every cost up to its task is at least the seeded
+/// probe's, which is exactly the condition under which it bounds the new
+/// least fixpoint from below. A probe at a lower scale therefore starts
+/// cold, and the verdicts equal the cold kernel's for any probe sequence.
+/// Only schedulable probes update the seeds.
 class PdpScaleKernel {
  public:
   PdpScaleKernel(const msg::MessageSet& base, const PdpParams& params,
@@ -59,6 +64,9 @@ class PdpScaleKernel {
   std::vector<msg::SyncStream> sorted_;  // base streams, deadline order
   mutable std::vector<FpTask> tasks_;    // costs rewritten per probe
   mutable std::size_t failed_hint_ = static_cast<std::size_t>(-1);
+  mutable std::vector<Seconds> seeds_;       // R_i of the seeded probe
+  mutable std::vector<Seconds> seed_costs_;  // its C'_i; empty = no seeds
+  mutable std::vector<Seconds> response_times_;  // this probe's R_i
 };
 
 /// Scale-space form of `ttp_feasible` / `ttp_feasible_at`: kernel(a) ==
@@ -90,101 +98,6 @@ class TtpScaleKernel {
   Seconds frame_overhead_ = 0.0;
   bool any_deadline_infeasible_ = false;  // some q_i < 2: false at any scale
   std::vector<Station> stations_;  // base stream order
-};
-
-/// Batched form of `PdpScaleKernel`: lane l answers, for the base set
-/// bases[l] it was built from, the same verdict `PdpScaleKernel(bases[l],
-/// params, bw)(scales[l])` would — bit-identical, probe for probe. All
-/// bases must be non-empty and share one station count (Monte Carlo
-/// batches do: the generator's stream count is fixed per experiment).
-///
-/// The augmented-length stage (the multiply-divide-floor-ceil arithmetic
-/// of `pdp_augmented_length`) runs full-width over a station-major x
-/// lane-minor SoA of base payloads in branch-light loops; the screened RTA
-/// stage then runs per *active* lane with a per-lane failed-task hint (the
-/// hint steers which task is tested first and never changes the verdict).
-/// Frame counts are assumed to stay below 2^53, matching the int64 domain
-/// of the scalar path.
-class PdpBatchKernel {
- public:
-  PdpBatchKernel(std::span<const msg::MessageSet> bases,
-                 const PdpParams& params, BitsPerSecond bw);
-
-  std::size_t lanes() const { return lanes_; }
-
-  /// verdicts[l] = lane l's verdict at scales[l], for every lane with
-  /// active[l] != 0 (other verdict entries are left untouched). The cost
-  /// stage always computes full width — masking keeps the hot loops
-  /// branch-free; converged lanes simply carry a stale scale.
-  void evaluate(std::span<const double> scales,
-                std::span<const std::uint8_t> active,
-                std::span<std::uint8_t> verdicts) const;
-
-  /// All-lanes convenience overload.
-  void evaluate(std::span<const double> scales,
-                std::span<std::uint8_t> verdicts) const;
-
- private:
-  std::size_t lanes_ = 0;
-  std::size_t stations_ = 0;
-  BitsPerSecond bw_ = 0.0;
-  Seconds blocking_ = 0.0;
-  Seconds theta_ = 0.0;
-  Seconds frame_time_ = 0.0;
-  Seconds info_time_ = 0.0;
-  Seconds overhead_time_ = 0.0;
-  double info_bits_ = 0.0;
-  bool standard_variant_ = false;   // token passed per frame, not per message
-  bool frame_dominated_ = false;    // frame_time <= theta for this geometry
-  std::vector<double> base_payload_;  // station-major x lane-minor, RM order
-  mutable std::vector<double> cost_;  // same layout; scratch per evaluate
-  mutable std::vector<std::vector<FpTask>> tasks_;      // per lane, RM order
-  mutable std::vector<std::size_t> failed_hint_;        // per lane
-};
-
-/// Batched form of `TtpScaleKernel`: lane l replays
-/// `TtpScaleKernel(bases[l], params, bw[, ttrt])(scales[l])` bit for bit.
-/// The TTRT (and hence the per-lane available time TTRT - Lambda and the
-/// per-station usable visit counts q_i - 1) is selected per lane on the
-/// base set; lanes with some q_i < 2 are deadline-infeasible at every
-/// scale and their verdict is forced false, exactly like the scalar
-/// kernel. The per-station allocation sum accumulates in station order per
-/// lane; since every term is non-negative the scalar early exit decides
-/// exactly when the full sum exceeds the available time, so the batched
-/// full-sum verdict is identical.
-class TtpBatchKernel {
- public:
-  /// Paper TTRT selection rule, applied per lane (matches `ttp_feasible`).
-  TtpBatchKernel(std::span<const msg::MessageSet> bases,
-                 const TtpParams& params, BitsPerSecond bw);
-  /// Pinned TTRT shared by all lanes (matches `ttp_feasible_at`).
-  TtpBatchKernel(std::span<const msg::MessageSet> bases,
-                 const TtpParams& params, BitsPerSecond bw, Seconds ttrt);
-
-  std::size_t lanes() const { return lanes_; }
-
-  void evaluate(std::span<const double> scales,
-                std::span<const std::uint8_t> active,
-                std::span<std::uint8_t> verdicts) const;
-  void evaluate(std::span<const double> scales,
-                std::span<std::uint8_t> verdicts) const;
-
- private:
-  TtpBatchKernel(std::span<const msg::MessageSet> bases,
-                 const TtpParams& params, BitsPerSecond bw,
-                 const Seconds* pinned_ttrt);
-
-  std::size_t lanes_ = 0;
-  std::size_t stations_ = 0;
-  BitsPerSecond bw_ = 0.0;
-  Seconds frame_overhead_ = 0.0;
-  std::vector<double> available_;         // per lane: TTRT_l - Lambda
-  std::vector<std::uint8_t> infeasible_;  // per lane: some q_i < 2
-  std::vector<double> base_payload_;      // station-major x lane-minor
-  std::vector<double> usable_visits_;     // same layout; 1.0 dummy rows for
-                                          // infeasible lanes keep the full-
-                                          // width divide finite
-  mutable std::vector<double> allocated_;  // per-lane accumulators; scratch
 };
 
 }  // namespace tokenring::analysis

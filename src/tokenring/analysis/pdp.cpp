@@ -120,11 +120,7 @@ bool pdp_feasible(const msg::MessageSet& set, const PdpParams& params,
                   BitsPerSecond bw) {
   TR_EXPECTS(bw > 0.0);
   const std::vector<FpTask> tasks = pdp_tasks(set, params, bw);
-  const Seconds blocking = pdp_blocking(params, bw);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!response_time(tasks, i, blocking)) return false;
-  }
-  return true;
+  return rta_feasible(tasks, pdp_blocking(params, bw));
 }
 
 }  // namespace tokenring::analysis

@@ -152,103 +152,6 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
       pf);
 }
 
-// Draw one batch of base sets through `draw`, saturate them in lockstep,
-// and tally each trial in index order. Shared by the sequential and
-// parallel batched estimators.
-void run_batch(const std::function<msg::MessageSet()>& draw, std::size_t count,
-               const BatchScaleKernelFactory& factory, BitsPerSecond bw,
-               const SaturationOptions& sat_options,
-               const std::function<void(std::size_t, const SaturationResult&)>&
-                   tally) {
-  std::vector<msg::MessageSet> bases;
-  bases.reserve(count);
-  for (std::size_t j = 0; j < count; ++j) bases.push_back(draw());
-  const BatchScaleKernel kernel = factory(bases);
-  const std::vector<SaturationResult> sats =
-      find_saturation_batch(bases, kernel, bw, sat_options);
-  for (std::size_t j = 0; j < count; ++j) {
-    count_trial(sats[j]);
-    tally(j, sats[j]);
-  }
-}
-
-BreakdownEstimate estimate_batch_sequential(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-  TR_EXPECTS(options.batch_size >= 1);
-
-  // The saturation search consumes no randomness, so drawing a whole batch
-  // from the shared stream before saturating leaves the draw sequence —
-  // and hence every trial — identical to the one-at-a-time estimator.
-  BreakdownEstimate est;
-  const std::size_t n = options.num_sets;
-  for (std::size_t lo = 0; lo < n; lo += options.batch_size) {
-    const std::size_t count = std::min(options.batch_size, n - lo);
-    run_batch([&] { return generator.generate(rng); }, count, factory, bw,
-              options.saturation,
-              [&](std::size_t, const SaturationResult& sat) {
-                accumulate_trial(sat, options.keep_samples, est);
-              });
-  }
-  return est;
-}
-
-BreakdownEstimate estimate_batch_parallel(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& factory, std::uint64_t master_seed,
-    BitsPerSecond bw, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-  TR_EXPECTS(options.shard_size >= 1);
-  TR_EXPECTS(options.batch_size >= 1);
-
-  const std::size_t n = options.num_sets;
-  const std::size_t shard = options.shard_size;
-  // The parallel work unit is a *batch group*: batch_size rounded up to a
-  // whole number of shards. Every trial stays pinned to its shard and
-  // shards are folded one by one in trial order, so the merge tree — fixed
-  // by shard_size alone — is the same as the scalar path's for every
-  // (jobs, batch_size) combination.
-  const std::size_t shards_per_group = (options.batch_size + shard - 1) / shard;
-  const std::size_t group = shards_per_group * shard;
-  const std::size_t num_groups = (n + group - 1) / group;
-
-  const auto run_group = [&](std::size_t g) {
-    const std::size_t lo = g * group;
-    const std::size_t count = std::min(n, lo + group) - lo;
-    std::vector<BreakdownEstimate> parts((count + shard - 1) / shard);
-    std::size_t next = lo;
-    run_batch(
-        [&] {
-          Rng rng = exec::make_trial_rng(master_seed, next++);
-          return generator.generate(rng);
-        },
-        count, factory, bw, options.saturation,
-        [&](std::size_t j, const SaturationResult& sat) {
-          accumulate_trial(sat, options.keep_samples, parts[j / shard]);
-        });
-    return parts;
-  };
-
-  exec::ParallelForOptions pf;
-  pf.cancel = options.cancel;
-  if (options.progress) {
-    pf.progress = [&options, n, group](std::size_t done_groups, std::size_t) {
-      options.progress(std::min(n, done_groups * group), n);
-    };
-  }
-
-  return exec::map_reduce(
-      executor, num_groups, BreakdownEstimate{}, run_group,
-      [](BreakdownEstimate acc, std::vector<BreakdownEstimate> parts) {
-        for (BreakdownEstimate& part : parts) acc.merge(part);
-        return acc;
-      },
-      pf);
-}
-
 }  // namespace
 
 BreakdownEstimate estimate_breakdown_utilization(
@@ -291,25 +194,6 @@ BreakdownEstimate estimate_breakdown_utilization(
   return estimate_parallel(
       generator, saturate_with_factory(kernel_factory, bw, options.saturation),
       master_seed, executor, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_batch_sequential(generator, kernel_factory, bw, rng,
-                                   options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_batch_parallel(generator, kernel_factory, master_seed, bw,
-                                 executor, options);
 }
 
 }  // namespace tokenring::breakdown

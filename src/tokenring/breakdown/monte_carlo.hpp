@@ -49,14 +49,6 @@ struct MonteCarloOptions {
   /// only if they use the same shard_size. The default balances scheduling
   /// overhead against load balance for typical trial costs.
   std::size_t shard_size = 8;
-  /// Trials saturated per lockstep batch by the BatchScaleKernelFactory
-  /// overloads (>= 1; ignored by the scalar overloads). Purely a
-  /// throughput knob: the batched search replays every scalar probe
-  /// sequence lane for lane and dispatches whole shards per batch group,
-  /// so estimates are bit-identical for every batch_size (and every jobs
-  /// count). The parallel path rounds the effective lane count up to a
-  /// whole number of shards.
-  std::size_t batch_size = 64;
   /// Optional progress hook for the parallel path, called as
   /// (trials_done_upper_bound, num_sets) whenever a shard completes.
   std::function<void(std::size_t, std::size_t)> progress;
@@ -126,26 +118,6 @@ BreakdownEstimate estimate_breakdown_utilization(
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options = {});
-
-/// Batched forms: trials are grouped into lockstep batches of
-/// `options.batch_size` lanes, each group saturated with one SoA kernel
-/// (find_saturation_batch) instead of one scalar search per trial. The
-/// saturation search consumes no randomness, so drawing a whole batch of
-/// sets up front preserves the draw sequence; each lane replays the scalar
-/// probe trajectory bit for bit; and the parallel path dispatches whole
-/// shards per batch group, folding the per-shard partials individually in
-/// trial order. Estimates are therefore bit-identical to the scalar
-/// overloads for every (jobs, batch_size) combination.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options = {});
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::uint64_t master_seed, const exec::Executor& executor,
     const MonteCarloOptions& options = {});
 

@@ -21,11 +21,8 @@
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
-#include <vector>
 
 #include "tokenring/msg/message_set.hpp"
 
@@ -116,91 +113,5 @@ SaturationResult find_saturation(const msg::MessageSet& base,
                                  const SchedulablePredicate& predicate,
                                  BitsPerSecond bw,
                                  const SaturationOptions& options = {});
-
-/// A batch of independent scale kernels evaluated in lockstep: for every
-/// lane l with active[l] != 0, set verdicts[l] to lane l's verdict at
-/// scales[l] (entries of inactive lanes are left untouched). All spans
-/// have one length, the lane count the kernel was built for. The concrete
-/// SoA kernels live in analysis/kernels.hpp (PdpBatchKernel /
-/// TtpBatchKernel); each lane must agree verdict-for-verdict with the
-/// scalar kernel over the same base set.
-using BatchScaleKernel =
-    std::function<void(std::span<const double> scales,
-                       std::span<const std::uint8_t> active,
-                       std::span<std::uint8_t> verdicts)>;
-
-/// Builds a BatchScaleKernel over one batch of base sets (one lane per
-/// set). Shared across Monte Carlo worker threads — each call builds an
-/// independent kernel, so the factory itself must be const-callable and
-/// thread-safe.
-using BatchScaleKernelFactory =
-    std::function<BatchScaleKernel(std::span<const msg::MessageSet> bases)>;
-
-/// Advances the exponential-bracket + bisection state of B independent
-/// saturation searches in lockstep. Each pass the caller asks `prepare`
-/// for one probe scale per still-searching lane, evaluates them all with
-/// one BatchScaleKernel call, and feeds the verdicts back through
-/// `absorb`. Per lane the probe sequence — zero check, bracketing walk,
-/// bisection — replays `find_saturation_scaled` exactly (the sequence
-/// depends only on the verdicts), so critical scales and per-lane
-/// `predicate_evals` are bit-identical to B scalar searches; lanes that
-/// converge early are masked out and simply stop consuming verdicts.
-class BatchBisector {
- public:
-  explicit BatchBisector(std::size_t lanes,
-                         const SaturationOptions& options = {});
-
-  std::size_t lanes() const { return lanes_.size(); }
-  bool done() const { return live_ == 0; }
-  std::size_t live_lanes() const { return live_; }
-
-  /// Fill the next lockstep probe request: active[l] = 1 and scales[l] =
-  /// the wanted probe for searching lanes; finished lanes get active[l] =
-  /// 0 and keep their last probe scale (full-width kernels need a finite
-  /// value). Spans must have size lanes().
-  void prepare(std::span<double> scales, std::span<std::uint8_t> active) const;
-
-  /// Consume the verdicts of the probes requested by the last prepare().
-  /// Verdict entries of inactive lanes are ignored.
-  void absorb(std::span<const std::uint8_t> verdicts);
-
-  /// Result of one finished lane. `breakdown_utilization` is left 0 — the
-  /// bisector never sees the base sets; find_saturation_batch fills it.
-  /// Requires done().
-  const SaturationResult& result(std::size_t lane) const;
-
- private:
-  enum class State : std::uint8_t {
-    kZeroCheck,     // awaiting the probe at scale 0
-    kInitialProbe,  // awaiting the probe at options.initial_scale
-    kBracketUp,     // awaiting probe(hi) while growing the bracket
-    kBracketDown,   // awaiting probe(lo) while shrinking the bracket
-    kBisect,        // awaiting probe(mid)
-    kDone,
-  };
-  struct Lane {
-    State state = State::kZeroCheck;
-    double lo = 0.0;
-    double hi = 0.0;
-    double probe = 0.0;
-    SaturationResult res;
-  };
-
-  void enter_bisection(Lane& lane);
-  void finish(Lane& lane);
-
-  SaturationOptions options_;
-  std::vector<Lane> lanes_;
-  std::size_t live_ = 0;
-};
-
-/// Locate the critical scale of every base set in one lockstep batch:
-/// result[l] is bit-identical — every field, including predicate_evals —
-/// to find_saturation_scaled(bases[l], <lane l's scalar kernel>, bw,
-/// options). Requires one lane per base set, each non-empty with at least
-/// one positive payload.
-std::vector<SaturationResult> find_saturation_batch(
-    std::span<const msg::MessageSet> bases, const BatchScaleKernel& kernel,
-    BitsPerSecond bw, const SaturationOptions& options = {});
 
 }  // namespace tokenring::breakdown

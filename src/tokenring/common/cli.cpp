@@ -127,25 +127,6 @@ std::size_t get_jobs(const CliFlags& flags) {
   return static_cast<std::size_t>(jobs);
 }
 
-void declare_batch_flag(CliFlags& flags) {
-  flags.declare("batch", "64",
-                "trials saturated per lockstep SoA batch (>= 1); "
-                "results are identical for every value");
-}
-
-std::size_t get_batch(const CliFlags& flags, std::size_t trials) {
-  const std::int64_t batch = flags.get_int("batch");
-  if (batch < 1) throw PreconditionError("flag --batch must be >= 1");
-  const auto value = static_cast<std::size_t>(batch);
-  if (trials > 0 && value > trials) {
-    std::fprintf(stderr,
-                 "warning: --batch %zu exceeds the %zu trials per point; "
-                 "the extra lanes are never filled\n",
-                 value, trials);
-  }
-  return value;
-}
-
 std::vector<double> parse_double_list(const std::string& csv) {
   std::vector<double> out;
   std::stringstream ss(csv);

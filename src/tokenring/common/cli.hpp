@@ -75,14 +75,4 @@ void declare_jobs_flag(CliFlags& flags);
 /// negative values; returns 0 for "use hardware concurrency".
 std::size_t get_jobs(const CliFlags& flags);
 
-/// Declare the standard `--batch` flag (trials saturated per lockstep SoA
-/// batch in the Monte Carlo boundary search). Like `--jobs`, a pure
-/// throughput knob: results are bit-identical for every value.
-void declare_batch_flag(CliFlags& flags);
-
-/// Read the `--batch` flag declared by `declare_batch_flag`. Rejects
-/// values < 1; warns on stderr when the batch exceeds `trials` (harmless,
-/// but the extra lanes buy nothing).
-std::size_t get_batch(const CliFlags& flags, std::size_t trials);
-
 }  // namespace tokenring

@@ -88,10 +88,7 @@ class Executor {
 /// computed in parallel, then folded left-to-right in index order as
 /// acc = reduce_fn(acc, results[i]). The fold order (and therefore any
 /// floating-point rounding) is independent of the jobs count. The mapped
-/// type may differ from the accumulator type (e.g. a map_fn returning a
-/// *vector* of partials per index, with the reducer folding each element
-/// in order — how the batched Monte Carlo path keeps the per-shard merge
-/// tree while dispatching whole batch groups).
+/// type may differ from the accumulator type.
 template <typename T, typename MapFn, typename ReduceFn>
 T map_reduce(const Executor& executor, std::size_t n, T init, MapFn&& map_fn,
              ReduceFn&& reduce_fn, const ParallelForOptions& options = {}) {

@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/ttrt.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
@@ -81,11 +79,11 @@ WorstCaseStudyResult run_worst_case_study(const WorstCaseStudyConfig& config) {
     double breakdown = 0.0;
   };
   std::vector<SetOutcome> outcomes(config.num_sets);
-  std::vector<msg::MessageSet> bases(config.num_sets);
+  const auto ttp_kernel = config.setup.ttp_kernel_factory(bw);
   executor.parallel_for(config.num_sets, [&](std::size_t i) {
     SetOutcome& out = outcomes[i];
     Rng rng = exec::make_trial_rng(config.seed, i);
-    const auto& base = bases[i] = gen.generate(rng);
+    const auto base = gen.generate(rng);
     const Seconds ttrt = analysis::select_ttrt(base, params.ring, bw);
     out.bound = analysis::ttp_worst_case_utilization_bound(params, bw, ttrt);
 
@@ -106,33 +104,14 @@ WorstCaseStudyResult run_worst_case_study(const WorstCaseStudyConfig& config) {
         out.violation = true;
       }
     }
-  });
 
-  // Empirical breakdown per set, searched in lockstep SoA batches. The
-  // paper-rule TtpBatchKernel selects each lane's TTRT on its base set —
-  // exactly the pinned-TTRT predicate the per-set search used (the TTRT
-  // rule is scale-invariant), so every outcome is bit-identical. Chunks are
-  // independent, so the chunk grid parallelizes without changing results.
-  TR_EXPECTS(config.batch >= 1);
-  const std::size_t chunks = (config.num_sets + config.batch - 1) / config.batch;
-  executor.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t lo = c * config.batch;
-    const std::size_t count = std::min(config.batch, config.num_sets - lo);
-    const std::span<const msg::MessageSet> chunk(bases.data() + lo, count);
-    const analysis::TtpBatchKernel kernel(chunk, params, bw);
-    const auto sats = breakdown::find_saturation_batch(
-        chunk,
-        [&kernel](std::span<const double> scales,
-                  std::span<const std::uint8_t> active,
-                  std::span<std::uint8_t> verdicts) {
-          kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    for (std::size_t j = 0; j < count; ++j) {
-      if (sats[j].found) {
-        outcomes[lo + j].found = true;
-        outcomes[lo + j].breakdown = sats[j].breakdown_utilization;
-      }
+    // Empirical breakdown. The paper-rule kernel selects the TTRT on the
+    // base set, which is the `ttrt` above: the rule is scale-invariant.
+    const auto sat =
+        breakdown::find_saturation_scaled(base, ttp_kernel(base), bw);
+    if (sat.found) {
+      out.found = true;
+      out.breakdown = sat.breakdown_utilization;
     }
   });
 

@@ -51,9 +51,6 @@ struct WorstCaseStudyConfig {
   /// Worker threads for the per-set saturation searches; 0 = hardware
   /// concurrency.
   std::size_t jobs = 0;
-  /// Boundary searches run per lockstep SoA batch (breakdown/saturation.hpp).
-  /// A pure throughput knob: the result is identical for every value.
-  std::size_t batch = 64;
 };
 
 struct WorstCaseStudyResult {

@@ -15,16 +15,15 @@ namespace {
 // ~zero (the degenerate low-bandwidth regime where neither protocol can
 // schedule anything) does not count as a win.
 bool ttp_wins(const PaperSetup& setup, BitsPerSecond bw, std::size_t sets,
-              std::uint64_t seed, const exec::Executor& executor,
-              std::size_t batch) {
-  const double ttp = estimate_point(setup, setup.ttp_batch_kernel_factory(bw),
-                                    bw, sets, seed, executor, batch)
+              std::uint64_t seed, const exec::Executor& executor) {
+  const double ttp = estimate_point(setup, setup.ttp_kernel_factory(bw),
+                                    bw, sets, seed, executor)
                          .mean();
   const double pdp =
       estimate_point(setup,
-                     setup.pdp_batch_kernel_factory(
+                     setup.pdp_kernel_factory(
                          analysis::PdpVariant::kModified8025, bw),
-                     bw, sets, seed, executor, batch)
+                     bw, sets, seed, executor)
           .mean();
   return ttp >= pdp && ttp > 0.01;
 }
@@ -54,7 +53,7 @@ std::vector<CrossoverStudyRow> run_crossover_study(
 
       const auto wins = [&](double bw_mbps) {
         return ttp_wins(setup, mbps(bw_mbps), config.sets_per_point,
-                        config.seed, executor, config.batch);
+                        config.seed, executor);
       };
 
       if (wins(config.bw_low_mbps)) {
@@ -76,16 +75,14 @@ std::vector<CrossoverStudyRow> run_crossover_study(
       if (std::isfinite(row.crossover_mbps) && row.crossover_mbps > 0.0) {
         const BitsPerSecond bw = mbps(row.crossover_mbps);
         row.ttp_at_crossover =
-            estimate_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
-                           config.sets_per_point, config.seed, executor,
-                           config.batch)
+            estimate_point(setup, setup.ttp_kernel_factory(bw), bw,
+                           config.sets_per_point, config.seed, executor)
                 .mean();
         row.pdp_at_crossover =
             estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
+                           setup.pdp_kernel_factory(
                                analysis::PdpVariant::kModified8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
+                           bw, config.sets_per_point, config.seed, executor)
                 .mean();
       }
       rows.push_back(row);

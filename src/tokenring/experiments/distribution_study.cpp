@@ -42,22 +42,19 @@ std::vector<DistributionStudyRow> run_distribution_study(
         row.distribution = to_string(dist);
         row.ieee8025 =
             estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
+                           setup.pdp_kernel_factory(
                                analysis::PdpVariant::kStandard8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
+                           bw, config.sets_per_point, config.seed, executor)
                 .mean();
         row.modified8025 =
             estimate_point(setup,
-                           setup.pdp_batch_kernel_factory(
+                           setup.pdp_kernel_factory(
                                analysis::PdpVariant::kModified8025, bw),
-                           bw, config.sets_per_point, config.seed, executor,
-                           config.batch)
+                           bw, config.sets_per_point, config.seed, executor)
                 .mean();
         row.fddi =
-            estimate_point(setup, setup.ttp_batch_kernel_factory(bw), bw,
-                           config.sets_per_point, config.seed, executor,
-                           config.batch)
+            estimate_point(setup, setup.ttp_kernel_factory(bw), bw,
+                           config.sets_per_point, config.seed, executor)
                 .mean();
         rows.push_back(row);
       }

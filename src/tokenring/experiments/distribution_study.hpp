@@ -26,9 +26,6 @@ struct DistributionStudyConfig {
   std::uint64_t seed = 13;
   /// Worker threads for the Monte Carlo trials; 0 = hardware concurrency.
   std::size_t jobs = 0;
-  /// Trials saturated per lockstep SoA batch (monte_carlo.hpp). A pure
-  /// throughput knob: the rows are identical for every value.
-  std::size_t batch = 64;
 };
 
 struct DistributionStudyRow {

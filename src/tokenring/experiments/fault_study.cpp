@@ -3,11 +3,9 @@
 #include "tokenring/obs/span.hpp"
 
 #include <algorithm>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/executor.hpp"
@@ -121,52 +119,27 @@ std::vector<FaultStudyRow> run_fault_study(const FaultStudyConfig& config) {
   // The stochastic parts that share one engine stream (set generation and
   // boundary search) run sequentially up front; the expensive simulations
   // then fan out over independent trials, each with its own seed stream, so
-  // results are bit-identical for any jobs value. Boundary searches run in
-  // lockstep SoA batches; drawing every base first leaves the generator
-  // stream unchanged because the searches consume no randomness.
+  // results are bit-identical for any jobs value.
   std::vector<PreparedSet> prepared(config.sets_per_point);
   {
-    TR_EXPECTS(config.batch >= 1);
     msg::MessageSetGenerator gen(config.setup.generator_config());
     Rng rng(config.seed);
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(config.sets_per_point);
-    for (std::size_t i = 0; i < config.sets_per_point; ++i) {
-      bases.push_back(gen.generate(rng));
-    }
-    for (std::size_t lo = 0; lo < bases.size(); lo += config.batch) {
-      const std::size_t count = std::min(config.batch, bases.size() - lo);
-      const std::span<const msg::MessageSet> chunk(bases.data() + lo, count);
-      const analysis::PdpBatchKernel pdp_kernel(chunk, pdp_params, bw);
-      const auto pdp_sats = breakdown::find_saturation_batch(
-          chunk,
-          [&pdp_kernel](std::span<const double> scales,
-                        std::span<const std::uint8_t> active,
-                        std::span<std::uint8_t> verdicts) {
-            pdp_kernel.evaluate(scales, active, verdicts);
-          },
-          bw);
-      const analysis::TtpBatchKernel ttp_kernel(chunk, ttp_params, bw);
-      const auto ttp_sats = breakdown::find_saturation_batch(
-          chunk,
-          [&ttp_kernel](std::span<const double> scales,
-                        std::span<const std::uint8_t> active,
-                        std::span<std::uint8_t> verdicts) {
-            ttp_kernel.evaluate(scales, active, verdicts);
-          },
-          bw);
-      for (std::size_t j = 0; j < count; ++j) {
-        PreparedSet& p = prepared[lo + j];
-        if (pdp_sats[j].found) {
-          p.pdp_found = true;
-          p.pdp_set =
-              bases[lo + j].scaled(pdp_sats[j].critical_scale * config.load_scale);
-        }
-        if (ttp_sats[j].found) {
-          p.ttp_found = true;
-          p.ttp_set =
-              bases[lo + j].scaled(ttp_sats[j].critical_scale * config.load_scale);
-        }
+    const auto pdp_kernel = config.setup.pdp_kernel_factory(
+        analysis::PdpVariant::kModified8025, bw);
+    const auto ttp_kernel = config.setup.ttp_kernel_factory(bw);
+    for (PreparedSet& p : prepared) {
+      const msg::MessageSet base = gen.generate(rng);
+      const auto pdp_sat =
+          breakdown::find_saturation_scaled(base, pdp_kernel(base), bw);
+      if (pdp_sat.found) {
+        p.pdp_found = true;
+        p.pdp_set = base.scaled(pdp_sat.critical_scale * config.load_scale);
+      }
+      const auto ttp_sat =
+          breakdown::find_saturation_scaled(base, ttp_kernel(base), bw);
+      if (ttp_sat.found) {
+        p.ttp_found = true;
+        p.ttp_set = base.scaled(ttp_sat.critical_scale * config.load_scale);
       }
     }
   }

@@ -46,9 +46,6 @@ struct FaultStudyConfig {
   std::uint64_t seed = 41;
   /// Worker threads for the trial sweep; 0 = hardware concurrency.
   std::size_t jobs = 1;
-  /// Boundary searches run per lockstep SoA batch (breakdown/saturation.hpp).
-  /// A pure throughput knob: the rows are identical for every value.
-  std::size_t batch = 64;
 
   FaultStudyConfig() { setup.num_stations = 12; }
 };

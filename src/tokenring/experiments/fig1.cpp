@@ -12,25 +12,39 @@ std::vector<Fig1Row> run_fig1(const Fig1Config& config) {
   const obs::Span span("experiments/fig1");
   TR_EXPECTS(!config.bandwidths_mbps.empty());
   TR_EXPECTS(config.sets_per_point >= 1);
+  // One span per bandwidth point and one per protocol estimate, so the
+  // profile splits the sweep's time between PDP and TTP.
+  static const obs::SpanHandle point_span("experiments/fig1/point");
+  static const obs::SpanHandle std8025_span("experiments/fig1/pdp_ieee8025");
+  static const obs::SpanHandle mod8025_span(
+      "experiments/fig1/pdp_modified8025");
+  static const obs::SpanHandle fddi_span("experiments/fig1/ttp_fddi");
 
   const exec::Executor executor(config.jobs);
+  const auto estimate = [&](const obs::SpanHandle& handle,
+                            const breakdown::ScaleKernelFactory& factory,
+                            BitsPerSecond bw) {
+    const obs::Span protocol(handle);
+    return estimate_point(config.setup, factory, bw, config.sets_per_point,
+                          config.seed, executor);
+  };
   std::vector<Fig1Row> rows;
   rows.reserve(config.bandwidths_mbps.size());
   for (double bw_mbps : config.bandwidths_mbps) {
+    const obs::Span point(point_span);
     const BitsPerSecond bw = mbps(bw_mbps);
-    const auto std8025 = estimate_point(
-        config.setup,
-        config.setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025,
-                                              bw),
-        bw, config.sets_per_point, config.seed, executor, config.batch);
-    const auto mod8025 = estimate_point(
-        config.setup,
-        config.setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025,
-                                              bw),
-        bw, config.sets_per_point, config.seed, executor, config.batch);
-    const auto fddi = estimate_point(
-        config.setup, config.setup.ttp_batch_kernel_factory(bw), bw,
-        config.sets_per_point, config.seed, executor, config.batch);
+    const auto std8025 = estimate(
+        std8025_span,
+        config.setup.pdp_kernel_factory(analysis::PdpVariant::kStandard8025,
+                                        bw),
+        bw);
+    const auto mod8025 = estimate(
+        mod8025_span,
+        config.setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025,
+                                        bw),
+        bw);
+    const auto fddi =
+        estimate(fddi_span, config.setup.ttp_kernel_factory(bw), bw);
 
     Fig1Row row;
     row.bandwidth_mbps = bw_mbps;

@@ -25,9 +25,6 @@ struct Fig1Config {
   /// Worker threads for the Monte Carlo trials; 0 = hardware concurrency,
   /// 1 = inline sequential. The rows are identical for every value.
   std::size_t jobs = 0;
-  /// Trials saturated per lockstep SoA batch (monte_carlo.hpp). A pure
-  /// throughput knob: the rows are identical for every value.
-  std::size_t batch = 64;
 };
 
 /// One bandwidth point: mean breakdown utilization and 95% CI half-width

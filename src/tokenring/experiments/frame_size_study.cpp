@@ -25,17 +25,15 @@ std::vector<FrameSizeStudyRow> run_frame_size_study(
       row.bandwidth_mbps = bw_mbps;
       row.ieee8025 =
           estimate_point(setup,
-                         setup.pdp_batch_kernel_factory(
+                         setup.pdp_kernel_factory(
                              analysis::PdpVariant::kStandard8025, bw),
-                         bw, config.sets_per_point, config.seed, executor,
-                         config.batch)
+                         bw, config.sets_per_point, config.seed, executor)
               .mean();
       row.modified8025 =
           estimate_point(setup,
-                         setup.pdp_batch_kernel_factory(
+                         setup.pdp_kernel_factory(
                              analysis::PdpVariant::kModified8025, bw),
-                         bw, config.sets_per_point, config.seed, executor,
-                         config.batch)
+                         bw, config.sets_per_point, config.seed, executor)
               .mean();
       rows.push_back(row);
     }

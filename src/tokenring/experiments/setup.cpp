@@ -59,7 +59,7 @@ breakdown::ScaleKernelFactory PaperSetup::pdp_kernel_factory(
     analysis::PdpVariant variant, BitsPerSecond bw) const {
   return [params = pdp_params(variant), bw](const msg::MessageSet& base) {
     // The kernel carries mutable per-trial state (task buffer, failed-task
-    // hint), so each trial gets its own heap instance shared into the
+    // hint, warm-start seeds), so each trial gets its own heap instance shared into the
     // returned std::function; the factory itself stays const and
     // thread-safe.
     auto kernel = std::make_shared<analysis::PdpScaleKernel>(base, params, bw);
@@ -81,48 +81,6 @@ breakdown::ScaleKernelFactory PaperSetup::ttp_kernel_factory_at(
   return [params = ttp_params(), bw, ttrt](const msg::MessageSet& base) {
     return breakdown::ScaleKernel(
         analysis::TtpScaleKernel(base, params, bw, ttrt));
-  };
-}
-
-namespace {
-
-/// Wrap one batch kernel instance (which carries mutable scratch state)
-/// into the std::function form, sharing it on the heap — the same pattern
-/// the scalar PDP factory uses.
-template <typename Kernel>
-breakdown::BatchScaleKernel wrap_batch_kernel(std::shared_ptr<Kernel> kernel) {
-  return [kernel = std::move(kernel)](std::span<const double> scales,
-                                      std::span<const std::uint8_t> active,
-                                      std::span<std::uint8_t> verdicts) {
-    kernel->evaluate(scales, active, verdicts);
-  };
-}
-
-}  // namespace
-
-breakdown::BatchScaleKernelFactory PaperSetup::pdp_batch_kernel_factory(
-    analysis::PdpVariant variant, BitsPerSecond bw) const {
-  return [params = pdp_params(variant),
-          bw](std::span<const msg::MessageSet> bases) {
-    return wrap_batch_kernel(
-        std::make_shared<analysis::PdpBatchKernel>(bases, params, bw));
-  };
-}
-
-breakdown::BatchScaleKernelFactory PaperSetup::ttp_batch_kernel_factory(
-    BitsPerSecond bw) const {
-  return [params = ttp_params(), bw](std::span<const msg::MessageSet> bases) {
-    return wrap_batch_kernel(
-        std::make_shared<analysis::TtpBatchKernel>(bases, params, bw));
-  };
-}
-
-breakdown::BatchScaleKernelFactory PaperSetup::ttp_batch_kernel_factory_at(
-    BitsPerSecond bw, Seconds ttrt) const {
-  return [params = ttp_params(), bw,
-          ttrt](std::span<const msg::MessageSet> bases) {
-    return wrap_batch_kernel(
-        std::make_shared<analysis::TtpBatchKernel>(bases, params, bw, ttrt));
   };
 }
 
@@ -171,28 +129,6 @@ breakdown::BreakdownEstimate estimate_point(
   const exec::Executor inline_executor(1);
   return estimate_point(setup, kernel_factory, bw, num_sets, seed,
                         inline_executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
-    std::size_t batch) {
-  msg::MessageSetGenerator generator(setup.generator_config());
-  breakdown::MonteCarloOptions options;
-  options.num_sets = num_sets;
-  options.batch_size = batch;
-  return breakdown::estimate_breakdown_utilization(generator, kernel_factory,
-                                                   bw, seed, executor, options);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, std::size_t batch) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, kernel_factory, bw, num_sets, seed,
-                        inline_executor, batch);
 }
 
 }  // namespace tokenring::experiments

@@ -56,26 +56,14 @@ struct PaperSetup {
   /// Scale-kernel factories matching the predicates above verdict for
   /// verdict (analysis/kernels.hpp): per trial, the scale-invariant work is
   /// hoisted once and each saturation probe is allocation-free. These are
-  /// what the experiment drivers use; the predicates remain the reference
-  /// path (tests pin that both produce bit-identical estimates).
+  /// what the experiment drivers and the advisor use; the predicates remain
+  /// the reference path (tests pin that both produce bit-identical
+  /// estimates).
   breakdown::ScaleKernelFactory pdp_kernel_factory(analysis::PdpVariant variant,
                                                    BitsPerSecond bw) const;
   breakdown::ScaleKernelFactory ttp_kernel_factory(BitsPerSecond bw) const;
   breakdown::ScaleKernelFactory ttp_kernel_factory_at(BitsPerSecond bw,
                                                       Seconds ttrt) const;
-
-  /// Batched (SoA) kernel factories: one kernel saturates a whole batch of
-  /// trials in lockstep (analysis/kernels.hpp PdpBatchKernel /
-  /// TtpBatchKernel), with verdicts — and therefore Monte Carlo estimates
-  /// — bit-identical to the scalar factories above. The experiment drivers
-  /// route through these; the scalar factories and predicates remain the
-  /// reference paths the tests compare against.
-  breakdown::BatchScaleKernelFactory pdp_batch_kernel_factory(
-      analysis::PdpVariant variant, BitsPerSecond bw) const;
-  breakdown::BatchScaleKernelFactory ttp_batch_kernel_factory(
-      BitsPerSecond bw) const;
-  breakdown::BatchScaleKernelFactory ttp_batch_kernel_factory_at(
-      BitsPerSecond bw, Seconds ttrt) const;
 };
 
 /// Estimate the average breakdown utilization of one predicate at one
@@ -105,19 +93,5 @@ breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::size_t num_sets, std::uint64_t seed);
-
-/// Batched forms: trials are saturated in lockstep batches of `batch`
-/// lanes (see monte_carlo.hpp). Bit-identical to the scalar forms for
-/// every (executor jobs, batch) combination.
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor,
-    std::size_t batch);
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::BatchScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed, std::size_t batch);
 
 }  // namespace tokenring::experiments

@@ -32,9 +32,6 @@ struct SimValidationConfig {
   /// Simulation horizon as a multiple of the longest period.
   double horizon_periods = 4.0;
   std::uint64_t seed = 29;
-  /// Boundary searches run per lockstep SoA batch (breakdown/saturation.hpp).
-  /// A pure throughput knob: the rows are identical for every value.
-  std::size_t batch = 64;
 
   SimValidationConfig() { setup.num_stations = 12; }
 };

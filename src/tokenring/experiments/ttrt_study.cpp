@@ -26,8 +26,8 @@ TtrtStudyResult run_ttrt_study(const TtrtStudyConfig& config) {
     TR_EXPECTS(fraction > 0.0 && fraction <= 1.0);
     const Seconds ttrt = fraction * max_ttrt;
     const auto est = estimate_point(
-        config.setup, config.setup.ttp_batch_kernel_factory_at(bw, ttrt), bw,
-        config.sets_per_point, config.seed, executor, config.batch);
+        config.setup, config.setup.ttp_kernel_factory_at(bw, ttrt), bw,
+        config.sets_per_point, config.seed, executor);
     TtrtStudyRow row;
     row.fraction = fraction;
     row.ttrt = ttrt;
@@ -39,9 +39,8 @@ TtrtStudyResult run_ttrt_study(const TtrtStudyConfig& config) {
   const Seconds theta = config.setup.ttp_params().ring.theta(bw);
   result.sqrt_rule_ttrt = std::min(std::sqrt(theta * p_min), max_ttrt);
   result.sqrt_rule_breakdown =
-      estimate_point(config.setup, config.setup.ttp_batch_kernel_factory(bw),
-                     bw, config.sets_per_point, config.seed, executor,
-                     config.batch)
+      estimate_point(config.setup, config.setup.ttp_kernel_factory(bw),
+                     bw, config.sets_per_point, config.seed, executor)
           .mean();
 
   result.best_row = *std::max_element(

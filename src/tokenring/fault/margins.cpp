@@ -49,17 +49,6 @@ int hopeless_faults(const msg::MessageSet& set, Seconds outage) {
   return static_cast<int>(std::ceil(longest / outage)) + 2;
 }
 
-/// Exact RTA verdict over the whole set without building a per-probe
-/// FpSetVerdict: same per-task optionals as response_time_analysis, early
-/// exit on the first failure.
-bool all_tasks_feasible(const std::vector<analysis::FpTask>& tasks,
-                        Seconds blocking) {
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    if (!analysis::response_time(tasks, i, blocking)) return false;
-  }
-  return true;
-}
-
 /// PDP probe with the augmented task list and per-fault recovery hoisted
 /// out of the margin binary search: only the blocking term depends on k.
 bool pdp_probe(const std::vector<analysis::FpTask>& tasks,
@@ -68,7 +57,7 @@ bool pdp_probe(const std::vector<analysis::FpTask>& tasks,
   const Seconds blocking =
       base_blocking +
       static_cast<double>(faults_per_period) * recovery_with_repeat;
-  return all_tasks_feasible(tasks, blocking);
+  return analysis::rta_feasible(tasks, blocking);
 }
 
 /// Scale-invariant per-stream TTP state for the margin search: payload

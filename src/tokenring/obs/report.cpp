@@ -22,7 +22,6 @@ std::optional<int> bootstrap_run(RunReport& report, CliFlags& flags,
                                  int argc, char** argv,
                                  const StandardFlags& standard) {
   if (standard.jobs) declare_jobs_flag(flags);
-  if (standard.batch) declare_batch_flag(flags);
   declare_report_flags(flags);
   switch (flags.parse_detailed(argc, argv)) {
     case CliFlags::ParseOutcome::kHelp:

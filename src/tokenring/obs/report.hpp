@@ -42,12 +42,11 @@ enum class OutputFormat { kTable, kCsv, kJson };
 void declare_report_flags(CliFlags& flags);
 
 /// Which shared flag families bootstrap_run declares on top of the study
-/// flags the caller already declared. Both default on: most bench mains
-/// sweep Monte Carlo points and take --jobs/--batch; the few that manage
-/// their own worker counts (parallel_scaling's --jobs-list) turn them off.
+/// flags the caller already declared. On by default: most bench mains
+/// sweep Monte Carlo points and take --jobs; the few that manage their own
+/// worker counts (parallel_scaling's --jobs-list) turn it off.
 struct StandardFlags {
   bool jobs = true;
-  bool batch = true;
 };
 
 /// One-call bootstrap for a bench/tool main, replacing the
@@ -58,7 +57,7 @@ struct StandardFlags {
 ///   obs::RunReport report("bench_fig1");
 ///   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 ///
-/// Declares --jobs/--batch (per `standard`) and --format/--out/--profile,
+/// Declares --jobs (per `standard`) and --format/--out/--profile,
 /// parses argv, and initializes `report`. Returns std::nullopt when the
 /// run should proceed; otherwise the process exit code — 0 for an explicit
 /// --help, 1 for an unknown/malformed flag or a bad --format value.

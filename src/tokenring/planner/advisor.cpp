@@ -1,11 +1,7 @@
 #include "tokenring/planner/advisor.hpp"
 
 #include <algorithm>
-#include <span>
-#include <utility>
-#include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/breakdown/saturation.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/seed_stream.hpp"
@@ -26,74 +22,43 @@ struct ResilienceSample {
 };
 
 /// Mean token-loss resilience margins over `num_sets` sets drawn from
-/// per-trial seed streams (deterministic for any executor jobs count). The
-/// boundary searches run in lockstep SoA batches of `batch` lanes; groups
-/// map to the executor and their per-trial samples fold in trial order, so
-/// the means are bit-identical for every (jobs, batch) combination.
+/// per-trial seed streams. Trials map to the executor and their samples
+/// fold in trial order, so the means are bit-identical for every jobs
+/// count.
 ResilienceSample estimate_resilience(const experiments::PaperSetup& setup,
                                      BitsPerSecond bw, std::size_t num_sets,
                                      std::uint64_t seed,
-                                     const exec::Executor& executor,
-                                     std::size_t batch) {
-  TR_EXPECTS(batch >= 1);
+                                     const exec::Executor& executor) {
   const auto pdp_params =
       setup.pdp_params(analysis::PdpVariant::kModified8025);
   const auto ttp_params = setup.ttp_params();
-  const std::size_t groups = (num_sets + batch - 1) / batch;
-  const auto sample_group = [&](std::size_t g) {
-    const std::size_t lo = g * batch;
-    const std::size_t count = std::min(batch, num_sets - lo);
-    msg::MessageSetGenerator generator(setup.generator_config());
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      Rng rng = exec::make_trial_rng(seed, lo + j);
-      bases.push_back(generator.generate(rng));
+  const auto pdp_kernel =
+      setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025, bw);
+  const auto ttp_kernel = setup.ttp_kernel_factory(bw);
+  const msg::MessageSetGenerator generator(setup.generator_config());
+  const auto sample_trial = [&](std::size_t i) {
+    Rng rng = exec::make_trial_rng(seed, i);
+    const msg::MessageSet base = generator.generate(rng);
+    ResilienceSample s{-1.0, -1.0};
+    const auto pdp_sat =
+        breakdown::find_saturation_scaled(base, pdp_kernel(base), bw);
+    if (pdp_sat.found) {
+      const auto set = base.scaled(pdp_sat.critical_scale * kResilienceLoad);
+      s.pdp = fault::pdp_fault_margin(set, pdp_params, bw).margin;
     }
-    const analysis::PdpBatchKernel pdp_kernel(bases, pdp_params, bw);
-    const auto pdp_sats = breakdown::find_saturation_batch(
-        bases,
-        [&pdp_kernel](std::span<const double> scales,
-                      std::span<const std::uint8_t> active,
-                      std::span<std::uint8_t> verdicts) {
-          pdp_kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    const analysis::TtpBatchKernel ttp_kernel(bases, ttp_params, bw);
-    const auto ttp_sats = breakdown::find_saturation_batch(
-        bases,
-        [&ttp_kernel](std::span<const double> scales,
-                      std::span<const std::uint8_t> active,
-                      std::span<std::uint8_t> verdicts) {
-          ttp_kernel.evaluate(scales, active, verdicts);
-        },
-        bw);
-    std::vector<ResilienceSample> samples(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      ResilienceSample s{-1.0, -1.0};
-      if (pdp_sats[j].found) {
-        const auto set =
-            bases[j].scaled(pdp_sats[j].critical_scale * kResilienceLoad);
-        s.pdp = fault::pdp_fault_margin(set, pdp_params, bw).margin;
-      }
-      if (ttp_sats[j].found) {
-        const auto set =
-            bases[j].scaled(ttp_sats[j].critical_scale * kResilienceLoad);
-        s.fddi = fault::ttp_fault_margin(set, ttp_params, bw).margin;
-      }
-      samples[j] = s;
+    const auto ttp_sat =
+        breakdown::find_saturation_scaled(base, ttp_kernel(base), bw);
+    if (ttp_sat.found) {
+      const auto set = base.scaled(ttp_sat.critical_scale * kResilienceLoad);
+      s.fddi = fault::ttp_fault_margin(set, ttp_params, bw).margin;
     }
-    return samples;
+    return s;
   };
   const auto total = exec::map_reduce(
-      executor, groups, ResilienceSample{}, sample_group,
-      [](ResilienceSample acc, std::vector<ResilienceSample> samples) {
-        // Per-trial fold in trial order: the same += sequence as a scalar
-        // per-set sweep, whatever the group size.
-        for (const ResilienceSample& s : samples) {
-          acc.pdp += s.pdp;
-          acc.fddi += s.fddi;
-        }
+      executor, num_sets, ResilienceSample{}, sample_trial,
+      [](ResilienceSample acc, const ResilienceSample& s) {
+        acc.pdp += s.pdp;
+        acc.fddi += s.fddi;
         return acc;
       });
   const double n = static_cast<double>(num_sets);
@@ -126,35 +91,25 @@ double Recommendation::estimate(Protocol protocol) const {
 Recommendation recommend_protocol(const TrafficProfile& profile,
                                   BitsPerSecond bandwidth,
                                   std::size_t num_sets, std::uint64_t seed,
-                                  const exec::Executor& executor,
-                                  std::size_t batch) {
+                                  const exec::Executor& executor) {
   TR_EXPECTS(bandwidth > 0.0);
   TR_EXPECTS(num_sets >= 1);
-  TR_EXPECTS(batch >= 1);
 
   const auto setup = profile.to_setup();
+  const auto estimate = [&](const breakdown::ScaleKernelFactory& factory) {
+    return experiments::estimate_point(setup, factory, bandwidth, num_sets,
+                                       seed, executor)
+        .mean();
+  };
   Recommendation rec;
-  rec.ieee8025 =
-      experiments::estimate_point(
-          setup,
-          setup.pdp_batch_kernel_factory(analysis::PdpVariant::kStandard8025,
-                                         bandwidth),
-          bandwidth, num_sets, seed, executor, batch)
-          .mean();
-  rec.modified8025 =
-      experiments::estimate_point(
-          setup,
-          setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025,
-                                         bandwidth),
-          bandwidth, num_sets, seed, executor, batch)
-          .mean();
-  rec.fddi = experiments::estimate_point(
-                 setup, setup.ttp_batch_kernel_factory(bandwidth), bandwidth,
-                 num_sets, seed, executor, batch)
-                 .mean();
+  rec.ieee8025 = estimate(setup.pdp_kernel_factory(
+      analysis::PdpVariant::kStandard8025, bandwidth));
+  rec.modified8025 = estimate(setup.pdp_kernel_factory(
+      analysis::PdpVariant::kModified8025, bandwidth));
+  rec.fddi = estimate(setup.ttp_kernel_factory(bandwidth));
 
   const auto resilience =
-      estimate_resilience(setup, bandwidth, num_sets, seed, executor, batch);
+      estimate_resilience(setup, bandwidth, num_sets, seed, executor);
   rec.modified8025_resilience = resilience.pdp;
   rec.fddi_resilience = resilience.fddi;
 
@@ -175,11 +130,10 @@ Recommendation recommend_protocol(const TrafficProfile& profile,
 
 Recommendation recommend_protocol(const TrafficProfile& profile,
                                   BitsPerSecond bandwidth,
-                                  std::size_t num_sets, std::uint64_t seed,
-                                  std::size_t batch) {
+                                  std::size_t num_sets, std::uint64_t seed) {
   const exec::Executor inline_executor(1);
   return recommend_protocol(profile, bandwidth, num_sets, seed,
-                            inline_executor, batch);
+                            inline_executor);
 }
 
 }  // namespace tokenring::planner

@@ -385,8 +385,8 @@ std::string Engine::compute_advise(const AdviseQuery& query) {
   w.key("recommendations").begin_array();
   for (double bw : query.bandwidths_mbps) {
     // The inline overload: batch jobs must not re-enter the group
-    // executor, and the recommendation is identical for every (jobs,
-    // batch) combination, so this matches `tokenring_tool advise`.
+    // executor, and the recommendation is identical for every jobs
+    // count, so this matches `tokenring_tool advise`.
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw), static_cast<std::size_t>(query.sets), query.seed);
     w.begin_object();

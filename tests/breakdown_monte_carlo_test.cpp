@@ -4,11 +4,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "tokenring/analysis/kernels.hpp"
 #include "tokenring/analysis/ttp.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/seed_stream.hpp"
@@ -282,129 +279,6 @@ TEST(MonteCarloParallel, ProgressAndCancellation) {
   EXPECT_THROW(
       estimate_breakdown_utilization(gen, predicate, mbps(10), 5, seq, cancelled),
       exec::Cancelled);
-}
-
-// ---- batched (SoA) estimator -----------------------------------------------
-
-analysis::TtpParams paper_ttp_params() {
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  return p;
-}
-
-ScaleKernelFactory scalar_ttp_factory(const analysis::TtpParams& p,
-                                      BitsPerSecond bw) {
-  return [p, bw](const msg::MessageSet& base) {
-    return ScaleKernel(analysis::TtpScaleKernel(base, p, bw));
-  };
-}
-
-BatchScaleKernelFactory batched_ttp_factory(const analysis::TtpParams& p,
-                                            BitsPerSecond bw) {
-  return [p, bw](std::span<const msg::MessageSet> bases) {
-    auto kernel = std::make_shared<analysis::TtpBatchKernel>(bases, p, bw);
-    return BatchScaleKernel([kernel](std::span<const double> scales,
-                                     std::span<const std::uint8_t> active,
-                                     std::span<std::uint8_t> verdicts) {
-      kernel->evaluate(scales, active, verdicts);
-    });
-  };
-}
-
-void expect_identical(const BreakdownEstimate& a, const BreakdownEstimate& b) {
-  EXPECT_EQ(a.utilization.count(), b.utilization.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.ci95(), b.ci95());
-  EXPECT_EQ(a.utilization.variance(), b.utilization.variance());
-  EXPECT_EQ(a.utilization.min(), b.utilization.min());
-  EXPECT_EQ(a.utilization.max(), b.utilization.max());
-  EXPECT_EQ(a.degenerate_sets, b.degenerate_sets);
-  EXPECT_EQ(a.unbounded_sets, b.unbounded_sets);
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i], b.samples[i]) << "sample " << i;
-  }
-}
-
-TEST(MonteCarloBatch, EveryJobsBatchGridPointMatchesTheScalarEstimate) {
-  // The batched overload's contract: lockstep SoA saturation reproduces the
-  // scalar per-trial estimate bit for bit for every (jobs, batch_size)
-  // combination. 37 trials so no grid point divides evenly — remainder
-  // batches, partial shards and partial batch groups are all exercised.
-  const BitsPerSecond bw = mbps(100);
-  const auto p = paper_ttp_params();
-  auto gen = small_generator();
-  MonteCarloOptions opts;
-  opts.num_sets = 37;
-  opts.keep_samples = true;
-  const std::uint64_t seed = 42;
-
-  const exec::Executor seq(1);
-  const auto reference = estimate_breakdown_utilization(
-      gen, scalar_ttp_factory(p, bw), bw, seed, seq, opts);
-  EXPECT_GT(reference.utilization.count(), 0u);
-
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-    const exec::Executor executor(jobs);
-    for (std::size_t batch : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-      MonteCarloOptions batched_opts = opts;
-      batched_opts.batch_size = batch;
-      const auto batched = estimate_breakdown_utilization(
-          gen, batched_ttp_factory(p, bw), bw, seed, executor, batched_opts);
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " batch=" + std::to_string(batch));
-      expect_identical(reference, batched);
-    }
-  }
-}
-
-TEST(MonteCarloBatch, SequentialBatchedPreservesTheSharedDrawStream) {
-  // The Rng& overload draws a whole batch from the shared stream before
-  // saturating it; because the boundary search consumes no randomness this
-  // must leave both the estimate and the engine's position identical to
-  // the one-at-a-time path — checked by comparing the next draw after
-  // each run.
-  const BitsPerSecond bw = mbps(100);
-  const auto p = paper_ttp_params();
-  auto gen = small_generator();
-  MonteCarloOptions opts;
-  opts.num_sets = 37;
-  opts.keep_samples = true;
-
-  Rng scalar_rng(42);
-  const auto reference = estimate_breakdown_utilization(
-      gen, scalar_ttp_factory(p, bw), bw, scalar_rng, opts);
-  const double next_draw = scalar_rng.uniform(0.0, 1.0);
-
-  for (std::size_t batch : {std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-    MonteCarloOptions batched_opts = opts;
-    batched_opts.batch_size = batch;
-    Rng rng(42);
-    const auto batched = estimate_breakdown_utilization(
-        gen, batched_ttp_factory(p, bw), bw, rng, batched_opts);
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    expect_identical(reference, batched);
-    EXPECT_EQ(rng.uniform(0.0, 1.0), next_draw);
-  }
-}
-
-TEST(MonteCarloBatch, BatchSizePreconditionRejected) {
-  const BitsPerSecond bw = mbps(100);
-  const auto p = paper_ttp_params();
-  auto gen = small_generator();
-  MonteCarloOptions opts;
-  opts.num_sets = 2;
-  opts.batch_size = 0;
-  Rng rng(1);
-  EXPECT_THROW(estimate_breakdown_utilization(gen, batched_ttp_factory(p, bw),
-                                              bw, rng, opts),
-               PreconditionError);
-  const exec::Executor seq(1);
-  EXPECT_THROW(estimate_breakdown_utilization(gen, batched_ttp_factory(p, bw),
-                                              bw, 1, seq, opts),
-               PreconditionError);
 }
 
 TEST(MonteCarlo, Preconditions) {

@@ -138,42 +138,6 @@ TEST(Cli, DoubleDeclarationThrows) {
   EXPECT_THROW(flags.declare("x", "2", ""), PreconditionError);
 }
 
-TEST(Cli, BatchFlagDefaultsValidatesAndWarns) {
-  {
-    CliFlags flags;
-    declare_batch_flag(flags);
-    Argv a({"prog"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_EQ(get_batch(flags, 100), 64u);
-  }
-  {
-    CliFlags flags;
-    declare_batch_flag(flags);
-    Argv a({"prog", "--batch=8"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_EQ(get_batch(flags, 100), 8u);
-  }
-  {
-    CliFlags flags;
-    declare_batch_flag(flags);
-    Argv a({"prog", "--batch=0"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    EXPECT_THROW(get_batch(flags, 100), PreconditionError);
-  }
-  {
-    // Oversized batches are accepted (the extra lanes are simply unused)
-    // but warn on stderr.
-    CliFlags flags;
-    declare_batch_flag(flags);
-    Argv a({"prog", "--batch=256"});
-    ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(get_batch(flags, 10), 256u);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("--batch 256 exceeds"), std::string::npos);
-  }
-}
-
 TEST(Cli, ParseDoubleList) {
   const auto v = parse_double_list("1,2.5,100");
   ASSERT_EQ(v.size(), 3u);

@@ -250,65 +250,43 @@ TEST(Registry, PredicateEvalCounterIsDeterministicAcrossJobs) {
   EXPECT_GT(evals1, 0u);
 }
 
-TEST(Registry, PredicateEvalCounterIsDeterministicAcrossBatchSizes) {
-  // The batched (SoA) estimator replays every scalar probe lane for lane,
-  // and its per-lane searches bump "breakdown.predicate_evals" once per
-  // probe evaluated for that lane — never once per full-width kernel pass.
-  // So the manifest's search-effort metric must agree exactly between the
-  // scalar path and the batched path at every batch size (and so must the
-  // trial tallies).
+TEST(Registry, RtaCountersAreDeterministicAcrossJobs) {
+  // The response-time fixpoints are tallied in locals and flushed once per
+  // probe into "analysis.rta_calls" / "analysis.rta_iterations". Which
+  // fixpoints run, and from which warm-start seed, depends only on the
+  // trial's own probe sequence, so the totals must match for every jobs
+  // count.
   experiments::PaperSetup setup;
   setup.num_stations = 6;
   const BitsPerSecond bw = mbps(16);
-  const auto scalar_factory =
+  const auto factory =
       setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025, bw);
-  const auto batch_factory =
-      setup.pdp_batch_kernel_factory(analysis::PdpVariant::kModified8025, bw);
 
   struct Tally {
     double mean = 0.0;
-    std::uint64_t evals = 0;
-    std::uint64_t trials = 0;
+    std::uint64_t calls = 0;
+    std::uint64_t iterations = 0;
   };
-  auto run_scalar = [&] {
+  auto run_workload = [&](std::size_t jobs) {
     obs::Registry::global().reset_values();
-    const exec::Executor executor(2);
+    const exec::Executor executor(jobs);
     breakdown::MonteCarloOptions options;
     options.num_sets = 12;
     msg::MessageSetGenerator generator(setup.generator_config());
     const auto estimate = breakdown::estimate_breakdown_utilization(
-        generator, scalar_factory, bw, 7, executor, options);
+        generator, factory, bw, 7, executor, options);
     const auto snap = obs::Registry::global().snapshot();
-    return Tally{estimate.mean(),
-                 snap.counters.at("breakdown.predicate_evals"),
-                 snap.counters.at("breakdown.trials")};
-  };
-  auto run_batched = [&](std::size_t batch_size) {
-    obs::Registry::global().reset_values();
-    const exec::Executor executor(2);
-    breakdown::MonteCarloOptions options;
-    options.num_sets = 12;
-    options.batch_size = batch_size;
-    msg::MessageSetGenerator generator(setup.generator_config());
-    const auto estimate = breakdown::estimate_breakdown_utilization(
-        generator, batch_factory, bw, 7, executor, options);
-    const auto snap = obs::Registry::global().snapshot();
-    return Tally{estimate.mean(),
-                 snap.counters.at("breakdown.predicate_evals"),
-                 snap.counters.at("breakdown.trials")};
+    return Tally{estimate.mean(), snap.counters.at("analysis.rta_calls"),
+                 snap.counters.at("analysis.rta_iterations")};
   };
 
-  const Tally scalar = run_scalar();
-  const Tally batch1 = run_batched(1);
-  const Tally batch64 = run_batched(64);
-  EXPECT_GT(scalar.evals, 0u);
-  EXPECT_EQ(scalar.trials, 12u);
-  EXPECT_EQ(batch1.mean, scalar.mean);
-  EXPECT_EQ(batch1.evals, scalar.evals);
-  EXPECT_EQ(batch1.trials, scalar.trials);
-  EXPECT_EQ(batch64.mean, scalar.mean);
-  EXPECT_EQ(batch64.evals, scalar.evals);
-  EXPECT_EQ(batch64.trials, scalar.trials);
+  const Tally seq = run_workload(1);
+  const Tally par = run_workload(4);
+  EXPECT_GT(seq.calls, 0u);
+  EXPECT_GT(seq.iterations, 0u);
+  EXPECT_EQ(seq.mean, par.mean);
+  EXPECT_EQ(seq.calls, par.calls);
+  EXPECT_EQ(seq.iterations, par.iterations);
 }
 
 TEST(Registry, GaugeSurvivesWorkerThreadRetirement) {

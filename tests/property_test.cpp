@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tokenring/analysis/async_capacity.hpp"
@@ -223,6 +223,35 @@ TEST_P(AugmentedLength, TtpAugmentedMatchesReportField) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AugmentedLength, ::testing::Values(11, 13));
 
+TEST(AugmentedLengthRounding, NotBitwiseMonotoneAtFrameBoundaries) {
+  // A documented non-property. In exact arithmetic C'_i is non-decreasing
+  // in the payload, but the payload one ulp below a multiple of the frame's
+  // information bits sums l*F + Theta/2 + (C - l*F_info + F_ovhd) while the
+  // multiple itself sums (l+1)*F + Theta/2, and the first can round above
+  // the second. This is why the PDP kernel's warm start checks each task's
+  // cost against the seeded probe's instead of trusting a larger scale.
+  Rng rng(0xB0DA);
+  int inversions = 0;
+  for (int trial = 0; trial < 50'000; ++trial) {
+    auto p = pdp_params(static_cast<int>(rng.uniform_int(2, 100)),
+                        trial % 2 == 0 ? analysis::PdpVariant::kModified8025
+                                       : analysis::PdpVariant::kStandard8025);
+    p.frame = net::frame_format_with_payload_bytes(
+        static_cast<double>(rng.uniform_int(16, 512)));
+    const BitsPerSecond bw = mbps(rng.uniform(1.0, 1000.0));
+    const double boundary =
+        static_cast<double>(rng.uniform_int(1, 50)) * p.frame.info_bits;
+    const msg::SyncStream at{milliseconds(100), boundary, 0};
+    const msg::SyncStream below{milliseconds(100),
+                                std::nextafter(boundary, 0.0), 0};
+    if (analysis::pdp_augmented_length(below, p, bw) >
+        analysis::pdp_augmented_length(at, p, bw)) {
+      ++inversions;
+    }
+  }
+  EXPECT_GT(inversions, 0);
+}
+
 // ---- async capacity coherence ---------------------------------------------------------
 
 TEST(AsyncCapacityProperty, CapacityPlusDemandNeverExceedsOneWhenFeasible) {
@@ -329,9 +358,81 @@ TEST(FastKernelDifferential, ScreenedVerdictsMatchExactOn10kTaskSets) {
   EXPECT_GT(infeasible, 100);
 }
 
+TEST(FastKernelDifferential, WarmStartedRtaMatchesColdOn10kTaskSets) {
+  // The warm start's claim: seeding task i's fixpoint with its response
+  // time at a lower payload scale changes only where the iteration starts.
+  // Costs scale as C * s, so C * s_lo <= C * s bitwise, and the seeded
+  // fixpoint must return the cold one's verdict, status and R bit for bit.
+  int seeded = 0;
+  int warm_above_cold_start = 0;
+  int schedulable = 0;
+  int infeasible = 0;
+  for (std::uint64_t trial = 0; trial < 10'000; ++trial) {
+    Rng rng = exec::make_trial_rng(0x5EED, trial);
+    const auto base = random_task_set(rng);
+    const Seconds blocking =
+        rng.uniform01() < 0.3 ? 0.0 : rng.uniform(0.0, 0.02);
+    const double s = rng.uniform(0.2, 1.2);
+    const double pick = rng.uniform01();
+    const double s_lo = pick < 0.1 ? 0.0 : pick < 0.2 ? s
+                                                      : s * rng.uniform01();
+    auto lo = base;
+    auto hi = base;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      lo[i].cost = base[i].cost * s_lo;
+      hi[i].cost = base[i].cost * s;
+    }
+
+    std::vector<Seconds> seeds(base.size(), 0.0);
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      const auto r_lo = analysis::response_time(lo, i, blocking);
+      if (!r_lo) continue;
+      seeds[i] = *r_lo;
+      ++seeded;
+      if (*r_lo > blocking + hi[i].cost) ++warm_above_cold_start;
+
+      analysis::RtaStatus cold_status{};
+      analysis::RtaStatus warm_status{};
+      const auto cold = analysis::response_time(hi, i, blocking, &cold_status);
+      const auto warm =
+          analysis::response_time(hi, i, blocking, &warm_status, *r_lo);
+      ASSERT_EQ(warm.has_value(), cold.has_value())
+          << "verdicts split at trial " << trial << " task " << i;
+      ASSERT_EQ(warm_status, cold_status) << "trial " << trial << " task " << i;
+      if (cold) {
+        ASSERT_EQ(*warm, *cold)
+            << "R differs at trial " << trial << " task " << i;
+      }
+    }
+
+    // Set level: the seeded screened verdict equals the cold one, and so
+    // does the task a failure names.
+    std::size_t cold_hint = static_cast<std::size_t>(-1);
+    std::size_t warm_hint = static_cast<std::size_t>(-1);
+    std::vector<Seconds> out(base.size(), 0.0);
+    const bool cold = analysis::rta_feasible_fast(hi, blocking, &cold_hint);
+    const bool warm =
+        analysis::rta_feasible_fast(hi, blocking, &warm_hint, seeds, out);
+    ASSERT_EQ(warm, cold) << "set verdicts split at trial " << trial;
+    ASSERT_EQ(warm_hint, cold_hint) << "failed task differs at trial "
+                                    << trial;
+    ASSERT_EQ(cold, analysis::response_time_analysis(hi, blocking).schedulable)
+        << "trial " << trial;
+    (cold ? schedulable : infeasible) += 1;
+  }
+  // Non-vacuous: many seeds, most starting above the cold r^0, and both
+  // verdicts.
+  EXPECT_GT(seeded, 10'000);
+  EXPECT_GT(warm_above_cold_start, 5'000);
+  EXPECT_GT(schedulable, 100);
+  EXPECT_GT(infeasible, 100);
+}
+
 TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
   int schedulable = 0;
   int infeasible = 0;
+  int low_q = 0;
+  int drops = 0;
   for (std::uint64_t trial = 0; trial < 1'000; ++trial) {
     Rng rng = exec::make_trial_rng(0x5CA1E, trial);
     const int n = static_cast<int>(rng.uniform_int(1, 16));
@@ -345,254 +446,143 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
       base = msg::MessageSet{std::move(zeroed)};
     }
     const BitsPerSecond bw = mbps(rng.uniform(4.0, 200.0));
-    const auto pdp = pdp_params(n, analysis::PdpVariant::kModified8025);
-    const auto ttp = ttp_params(n);
-    const Seconds pinned_ttrt = milliseconds(rng.uniform(0.5, 20.0));
-
-    const analysis::PdpScaleKernel pdp_kernel(base, pdp, bw);
-    const analysis::TtpScaleKernel ttp_kernel(base, ttp, bw);
-    const analysis::TtpScaleKernel ttp_kernel_at(base, ttp, bw, pinned_ttrt);
-
-    // Random probe order, including scale 0, exercises the PDP kernel's
-    // carried failed-task hint the way a real bisection would.
-    for (int probe = 0; probe < 5; ++probe) {
-      const double scale =
-          probe == 0 ? 0.0 : rng.uniform(0.0, 50.0);
-      const auto scaled = base.scaled(scale);
-      const bool pdp_ref = analysis::pdp_feasible(scaled, pdp, bw);
-      ASSERT_EQ(pdp_kernel(scale), pdp_ref)
-          << "PDP kernel disagrees at trial " << trial << " scale " << scale;
-      ASSERT_EQ(ttp_kernel(scale), analysis::ttp_feasible(scaled, ttp, bw))
-          << "TTP kernel disagrees at trial " << trial << " scale " << scale;
-      ASSERT_EQ(ttp_kernel_at(scale),
-                analysis::ttp_feasible_at(scaled, ttp, bw, pinned_ttrt))
-          << "pinned-TTRT kernel disagrees at trial " << trial << " scale "
-          << scale;
-      (pdp_ref ? schedulable : infeasible) += 1;
-    }
-  }
-  EXPECT_GT(schedulable, 100);
-  EXPECT_GT(infeasible, 100);
-}
-
-// ---- batched (SoA) kernel differential -----------------------------------------------
-//
-// The batch kernels (PdpBatchKernel, TtpBatchKernel) and the lockstep
-// bisector (find_saturation_batch) claim bit-identity with the scalar
-// path. These tests pin that claim on randomized corpora: lockstep
-// verdicts verdict-for-verdict against the scalar kernels (including
-// masked lanes, zero-payload lanes and deadline-infeasible q_i < 2 TTP
-// lanes), and every field of the batched saturation results against
-// per-lane scalar searches.
-
-/// One BatchScaleKernel view over a concrete SoA kernel instance.
-template <typename Kernel>
-breakdown::BatchScaleKernel as_batch_kernel(const Kernel& kernel) {
-  return [&kernel](std::span<const double> scales,
-                   std::span<const std::uint8_t> active,
-                   std::span<std::uint8_t> verdicts) {
-    kernel.evaluate(scales, active, verdicts);
-  };
-}
-
-TEST(BatchKernelDifferential, LockstepVerdictsMatchScalarKernels) {
-  constexpr std::size_t kLanes = 6;
-  int schedulable = 0;
-  int infeasible = 0;
-  int zero_payload_lanes = 0;
-  int low_q_lanes = 0;
-  for (std::uint64_t trial = 0; trial < 300; ++trial) {
-    Rng rng = exec::make_trial_rng(0xBA7C, trial);
-    const int n = static_cast<int>(rng.uniform_int(1, 12));
-    auto gen = generator(n, milliseconds(rng.uniform(20.0, 200.0)),
-                         rng.uniform(1.0, 10.0));
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(kLanes);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      msg::MessageSet base = gen.generate(rng);
-      if (l == 2 && rng.uniform01() < 0.5) {
-        // Degenerate zero-payload lane: the full-width SoA cost loops must
-        // keep it exactly 0 next to live lanes.
-        std::vector<msg::SyncStream> zeroed = base.streams();
-        for (auto& s : zeroed) s.payload_bits = 0.0;
-        base = msg::MessageSet{std::move(zeroed)};
-        ++zero_payload_lanes;
-      }
-      bases.push_back(std::move(base));
-    }
-    const BitsPerSecond bw = mbps(rng.uniform(4.0, 200.0));
-    // Alternate variants so both token-overhead branches of the batched
-    // cost loop (per-frame vs per-message) face the scalar kernel.
+    // Alternate variants so both token-overhead branches of the augmented
+    // length (per frame vs per message) face the predicate.
     const auto variant = trial % 2 == 0 ? analysis::PdpVariant::kModified8025
                                         : analysis::PdpVariant::kStandard8025;
     const auto pdp = pdp_params(n, variant);
     const auto ttp = ttp_params(n);
+    // Up to 40 ms, the pinned TTRT often leaves some q_i < 2: deadline-
+    // infeasible at every scale.
     const Seconds pinned_ttrt = milliseconds(rng.uniform(0.5, 40.0));
     // The PDP comparison must not be vacuous about blocking.
     ASSERT_GT(analysis::pdp_blocking(pdp, bw), 0.0);
-    for (const auto& base : bases) {
-      double min_deadline = base.streams()[0].deadline();
-      for (const auto& s : base.streams()) {
-        min_deadline = std::min(min_deadline, s.deadline());
-      }
-      if (min_deadline / pinned_ttrt < 2.0) ++low_q_lanes;
+    double min_deadline = base.streams()[0].deadline();
+    for (const auto& s : base.streams()) {
+      min_deadline = std::min(min_deadline, s.deadline());
+    }
+    if (min_deadline / pinned_ttrt < 2.0) ++low_q;
+
+    analysis::PdpScaleKernel pdp_kernel(base, pdp, bw);
+    analysis::TtpScaleKernel ttp_kernel(base, ttp, bw);
+    analysis::TtpScaleKernel ttp_kernel_at(base, ttp, bw, pinned_ttrt);
+    // Probe every kernel at `scale` against its predicate; returns the PDP
+    // verdict.
+    const auto check = [&](double scale, const char* phase) {
+      const auto scaled = base.scaled(scale);
+      const bool pdp_ref = analysis::pdp_feasible(scaled, pdp, bw);
+      EXPECT_EQ(pdp_kernel(scale), pdp_ref)
+          << "PDP kernel disagrees at trial " << trial << " scale " << scale
+          << " (" << phase << ")";
+      EXPECT_EQ(ttp_kernel(scale), analysis::ttp_feasible(scaled, ttp, bw))
+          << "TTP kernel disagrees at trial " << trial << " scale " << scale
+          << " (" << phase << ")";
+      EXPECT_EQ(ttp_kernel_at(scale),
+                analysis::ttp_feasible_at(scaled, ttp, bw, pinned_ttrt))
+          << "pinned-TTRT kernel disagrees at trial " << trial << " scale "
+          << scale << " (" << phase << ")";
+      (pdp_ref ? schedulable : infeasible) += 1;
+      return pdp_ref;
+    };
+
+    // Random probe order, including scale 0, exercises the PDP kernel's
+    // carried failed-task hint and warm-start guard out of search order.
+    for (int probe = 0; probe < 5; ++probe) {
+      check(probe == 0 ? 0.0 : rng.uniform(0.0, 50.0), "random");
     }
 
-    const analysis::PdpBatchKernel pdp_batch(bases, pdp, bw);
-    const analysis::TtpBatchKernel ttp_batch(bases, ttp, bw);
-    const analysis::TtpBatchKernel ttp_batch_at(bases, ttp, bw, pinned_ttrt);
-    std::vector<analysis::PdpScaleKernel> pdp_scalar;
-    std::vector<analysis::TtpScaleKernel> ttp_scalar;
-    std::vector<analysis::TtpScaleKernel> ttp_scalar_at;
-    for (const auto& base : bases) {
-      pdp_scalar.emplace_back(base, pdp, bw);
-      ttp_scalar.emplace_back(base, ttp, bw);
-      ttp_scalar_at.emplace_back(base, ttp, bw, pinned_ttrt);
+    // Then a search-shaped sequence on fresh kernels: scale 0, an
+    // ascending bracket, bisection steps, and one drop below the last
+    // schedulable scale, which the warm start must not seed from above.
+    pdp_kernel = analysis::PdpScaleKernel(base, pdp, bw);
+    ttp_kernel = analysis::TtpScaleKernel(base, ttp, bw);
+    ttp_kernel_at = analysis::TtpScaleKernel(base, ttp, bw, pinned_ttrt);
+    if (!check(0.0, "zero")) continue;
+    double lo = 0.0;
+    double hi = rng.uniform(0.05, 2.0);
+    while (hi < 1e3 && check(hi, "bracket")) {
+      lo = hi;
+      hi *= 2.0;
     }
-
-    std::vector<double> scales(kLanes, 0.0);
-    std::vector<std::uint8_t> verdicts(kLanes, 0);
-    for (int probe = 0; probe < 4; ++probe) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        scales[l] = probe == 0 ? 0.0 : rng.uniform(0.0, 50.0);
-      }
-      pdp_batch.evaluate(scales, verdicts);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const bool ref = pdp_scalar[l](scales[l]);
-        ASSERT_EQ(verdicts[l] != 0, ref)
-            << "PDP lane " << l << " disagrees at trial " << trial
-            << " scale " << scales[l];
-        (ref ? schedulable : infeasible) += 1;
-      }
-      ttp_batch.evaluate(scales, verdicts);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar[l](scales[l]))
-            << "TTP lane " << l << " disagrees at trial " << trial
-            << " scale " << scales[l];
-      }
-      ttp_batch_at.evaluate(scales, verdicts);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar_at[l](scales[l]))
-            << "pinned-TTRT lane " << l << " disagrees at trial " << trial
-            << " scale " << scales[l];
-      }
+    for (int step = 0; step < 8; ++step) {
+      const double mid = 0.5 * (lo + hi);
+      (check(mid, "bisect") ? lo : hi) = mid;
     }
-
-    // Masked evaluation: inactive lanes keep their verdict slot untouched,
-    // active lanes still match the scalar kernel.
-    constexpr std::uint8_t kSentinel = 0xEE;
-    std::vector<std::uint8_t> active(kLanes, 0);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      active[l] = l % 2 == 0 ? 1 : 0;
-      scales[l] = rng.uniform(0.0, 50.0);
-      verdicts[l] = kSentinel;
-    }
-    pdp_batch.evaluate(scales, active, verdicts);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      if (active[l] != 0) {
-        ASSERT_EQ(verdicts[l] != 0, pdp_scalar[l](scales[l]))
-            << "masked PDP lane " << l << " disagrees at trial " << trial;
-      } else {
-        ASSERT_EQ(verdicts[l], kSentinel)
-            << "inactive PDP lane " << l << " was written at trial " << trial;
-      }
-    }
-    for (std::size_t l = 0; l < kLanes; ++l) verdicts[l] = kSentinel;
-    ttp_batch_at.evaluate(scales, active, verdicts);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      if (active[l] != 0) {
-        ASSERT_EQ(verdicts[l] != 0, ttp_scalar_at[l](scales[l]))
-            << "masked TTP lane " << l << " disagrees at trial " << trial;
-      } else {
-        ASSERT_EQ(verdicts[l], kSentinel)
-            << "inactive TTP lane " << l << " was written at trial " << trial;
-      }
+    if (lo > 0.0) {
+      check(lo * rng.uniform(0.0, 1.0), "drop");
+      check(0.5 * (lo + hi), "after drop");
+      ++drops;
     }
   }
-  // The corpus must exercise both verdicts and the degenerate lane shapes.
   EXPECT_GT(schedulable, 100);
   EXPECT_GT(infeasible, 100);
-  EXPECT_GT(zero_payload_lanes, 10);
-  EXPECT_GT(low_q_lanes, 10);
+  EXPECT_GT(low_q, 10);
+  EXPECT_GT(drops, 100);
 }
 
-TEST(BatchKernelDifferential, BatchedSaturationMatchesScalarFieldForField) {
-  constexpr std::size_t kLanes = 5;
+TEST(FastKernelDifferential, KernelSaturationMatchesPredicateFieldForField) {
+  // Whole searches: the kernel path must reproduce the predicate path's
+  // result in every field, including predicate_evals (so every probe
+  // verdict along the way), for all three outcome classes.
   int found = 0;
   int degenerate = 0;
   int unbounded = 0;
-  for (std::uint64_t trial = 0; trial < 120; ++trial) {
+  for (std::uint64_t trial = 0; trial < 600; ++trial) {
     Rng rng = exec::make_trial_rng(0x5A7B, trial);
     const int n = static_cast<int>(rng.uniform_int(1, 10));
     auto gen = generator(n, milliseconds(rng.uniform(20.0, 200.0)),
                          rng.uniform(1.0, 10.0));
-    std::vector<msg::MessageSet> bases;
-    bases.reserve(kLanes);
-    for (std::size_t l = 0; l < kLanes; ++l) bases.push_back(gen.generate(rng));
+    const msg::MessageSet base = gen.generate(rng);
     const BitsPerSecond bw = mbps(rng.uniform(2.0, 500.0));
     const auto variant = trial % 2 == 0 ? analysis::PdpVariant::kModified8025
                                         : analysis::PdpVariant::kStandard8025;
     const auto pdp = pdp_params(n, variant);
     const auto ttp = ttp_params(n);
-    // A large pinned TTRT manufactures deadline-infeasible (q_i < 2) lanes,
-    // which must surface as degenerate_zero in batch and scalar alike.
+    // A large pinned TTRT manufactures deadline-infeasible (q_i < 2) sets,
+    // which must surface as degenerate_zero on both paths.
     const Seconds pinned_ttrt = milliseconds(rng.uniform(0.5, 60.0));
-    // A tight max_scale on some trials manufactures "unbounded" lanes
+    // A tight max_scale on some trials manufactures "unbounded" searches
     // (bracketing walks off the top), covering the third outcome class.
     breakdown::SaturationOptions options;
     if (trial % 3 == 0) options.max_scale = 4.0;
 
-    const auto expect_match = [&](const breakdown::SaturationResult& got,
-                                  const breakdown::SaturationResult& ref,
-                                  std::size_t lane, const char* what) {
-      EXPECT_EQ(got.found, ref.found)
-          << what << " lane " << lane << " trial " << trial;
+    const auto expect_match = [&](const breakdown::ScaleKernel& kernel,
+                                  const breakdown::SchedulablePredicate& pred,
+                                  const char* what) {
+      const auto got =
+          breakdown::find_saturation_scaled(base, kernel, bw, options);
+      const auto ref = breakdown::find_saturation(base, pred, bw, options);
+      EXPECT_EQ(got.found, ref.found) << what << " trial " << trial;
       EXPECT_EQ(got.degenerate_zero, ref.degenerate_zero)
-          << what << " lane " << lane << " trial " << trial;
+          << what << " trial " << trial;
       EXPECT_EQ(got.critical_scale, ref.critical_scale)
-          << what << " lane " << lane << " trial " << trial;
+          << what << " trial " << trial;
       EXPECT_EQ(got.breakdown_utilization, ref.breakdown_utilization)
-          << what << " lane " << lane << " trial " << trial;
+          << what << " trial " << trial;
       EXPECT_EQ(got.predicate_evals, ref.predicate_evals)
-          << what << " lane " << lane << " trial " << trial;
+          << what << " trial " << trial;
       found += got.found ? 1 : 0;
       degenerate += got.degenerate_zero ? 1 : 0;
       unbounded += (!got.found && !got.degenerate_zero) ? 1 : 0;
     };
 
-    const analysis::PdpBatchKernel pdp_batch(bases, pdp, bw);
-    const auto pdp_results =
-        breakdown::find_saturation_batch(
-            bases, as_batch_kernel(pdp_batch), bw, options);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::PdpScaleKernel scalar(bases[l], pdp, bw);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
-      expect_match(pdp_results[l], ref, l, "PDP");
-    }
-
-    const analysis::TtpBatchKernel ttp_batch(bases, ttp, bw);
-    const auto ttp_results =
-        breakdown::find_saturation_batch(
-            bases, as_batch_kernel(ttp_batch), bw, options);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::TtpScaleKernel scalar(bases[l], ttp, bw);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
-      expect_match(ttp_results[l], ref, l, "TTP");
-    }
-
-    const analysis::TtpBatchKernel ttp_batch_at(bases, ttp, bw, pinned_ttrt);
-    const auto ttp_at_results = breakdown::find_saturation_batch(
-        bases, as_batch_kernel(ttp_batch_at), bw, options);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const analysis::TtpScaleKernel scalar(bases[l], ttp, bw, pinned_ttrt);
-      const auto ref = breakdown::find_saturation_scaled(
-          bases[l], [&scalar](double s) { return scalar(s); }, bw, options);
-      expect_match(ttp_at_results[l], ref, l, "pinned-TTRT");
-    }
+    expect_match(analysis::PdpScaleKernel(base, pdp, bw),
+                 [&](const msg::MessageSet& set) {
+                   return analysis::pdp_feasible(set, pdp, bw);
+                 },
+                 "PDP");
+    expect_match(analysis::TtpScaleKernel(base, ttp, bw),
+                 [&](const msg::MessageSet& set) {
+                   return analysis::ttp_feasible(set, ttp, bw);
+                 },
+                 "TTP");
+    expect_match(analysis::TtpScaleKernel(base, ttp, bw, pinned_ttrt),
+                 [&](const msg::MessageSet& set) {
+                   return analysis::ttp_feasible_at(set, ttp, bw, pinned_ttrt);
+                 },
+                 "pinned-TTRT");
   }
-  // All three scalar outcome classes must appear, or bit-identity on the
+  // All three outcome classes must appear, or bit-identity on the
   // interesting paths is vacuous.
   EXPECT_GT(found, 100);
   EXPECT_GT(degenerate, 10);

@@ -359,7 +359,6 @@ void flags_advise(CliFlags& flags) {
   flags.declare("sets", "50", "Monte Carlo sets per estimate");
   flags.declare("seed", "1", "RNG seed");
   declare_jobs_flag(flags);
-  declare_batch_flag(flags);
 }
 
 int cmd_advise(const CliFlags& flags, obs::RunReport& report) {
@@ -370,13 +369,12 @@ int cmd_advise(const CliFlags& flags, obs::RunReport& report) {
 
   const exec::Executor executor(get_jobs(flags));
   const auto sets = static_cast<std::size_t>(flags.get_int("sets"));
-  const auto batch = get_batch(flags, sets);
   Table table({"BW_Mbps", "ieee8025", "modified8025", "fddi",
                "resil_8025", "resil_fddi", "recommend"});
   for (double bw : parse_double_list(flags.get_string("bandwidths-mbps"))) {
     const auto rec = planner::recommend_protocol(
         profile, mbps(bw), sets,
-        static_cast<std::uint64_t>(flags.get_int("seed")), executor, batch);
+        static_cast<std::uint64_t>(flags.get_int("seed")), executor);
     table.add_row({fmt(bw, 0), fmt(rec.ieee8025, 3), fmt(rec.modified8025, 3),
                    fmt(rec.fddi, 3), fmt(rec.modified8025_resilience, 1),
                    fmt(rec.fddi_resilience, 1), planner::to_string(rec.best)});
