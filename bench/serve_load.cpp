@@ -24,6 +24,10 @@
 //                             front end (the pair the reactor's >= 5x
 //                             per-connection win is gated on; resident
 //                             memory per mode is reported alongside)
+//   BM_ServeWireDecode        ns per line for the reactor's decode
+//                             (parse_json + parse_request + cache_key) of
+//                             check lines of 16..128 streams, in process
+//                             and without a socket
 // A "connection_sweep" table records client-observed p50/p99/p99.9 for
 // the pipelined hot mix while 64..--connections idle peers are parked on
 // the same server (the scaling curve in EXPERIMENTS.md).
@@ -63,10 +67,13 @@
 #include "tokenring/common/cli.hpp"
 #include "tokenring/common/rng.hpp"
 #include "tokenring/common/table.hpp"
+#include "tokenring/msg/generator.hpp"
+#include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/obs/report.hpp"
 #include "tokenring/serve/backoff.hpp"
 #include "tokenring/serve/server.hpp"
+#include "tokenring/serve/wire.hpp"
 
 namespace {
 
@@ -101,6 +108,69 @@ std::string cold_check_line(int slot) {
          ",\"protocol\":\"fddi\",\"bandwidth_mbps\":100,\"streams\":["
          "{\"station\":0,\"period_ms\":" + std::to_string(50 + slot) +
          ",\"payload_bits\":10000}]}";
+}
+
+/// A check line of `n` streams under the paper's period law, numbers in
+/// shortest round-trip form: the shape of a daemon's recurring queries.
+std::string sized_check_line(int slot, int n, const char* protocol) {
+  Rng rng(0x5e12'0000ULL + static_cast<std::uint64_t>(slot));
+  msg::GeneratorConfig g;
+  g.num_streams = n;
+  const msg::MessageSet set = msg::MessageSetGenerator(g).generate(rng);
+  std::string line = "{\"id\":" + std::to_string(slot) +
+                     ",\"type\":\"check\",\"protocol\":\"" + protocol +
+                     "\",\"bandwidth_mbps\":100,\"streams\":[";
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    const auto& stream = set[i];
+    if (i) line += ',';
+    line += "{\"station\":" + std::to_string(stream.station) +
+            ",\"period_ms\":" + obs::json_number(stream.period * 1e3) +
+            ",\"payload_bits\":" + obs::json_number(stream.payload_bits) +
+            '}';
+  }
+  return line + "]}";
+}
+
+/// BM_ServeWireDecode: mean ns per line to decode check lines of 16..128
+/// streams (log-spaced, protocols in rotation) the way the reactor does
+/// before it can answer from cache. Best of five passes of >= 50 ms each,
+/// so a preempted pass does not decide the row.
+double wire_decode_ns(std::size_t& decoded) {
+  constexpr const char* kProtocols[] = {"fddi", "ieee8025", "modified8025"};
+  std::vector<std::string> lines;
+  for (int n = 16, slot = 0; n <= 128; n = n * 3 / 2, ++slot) {
+    lines.push_back(sized_check_line(slot, n, kProtocols[slot % 3]));
+  }
+  lines.push_back(sized_check_line(static_cast<int>(lines.size()), 128,
+                                   kProtocols[lines.size() % 3]));
+  double best = 0.0;
+  std::size_t key_bytes = 0;
+  decoded = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    std::size_t count = 0;
+    const std::uint64_t t0 = now_ns();
+    std::uint64_t elapsed = 0;
+    do {
+      for (const auto& line : lines) {
+        const obs::JsonParseResult doc = obs::parse_json(line);
+        serve::Request request;
+        std::string error;
+        if (!doc.ok || !serve::parse_request(doc.value, request, error)) {
+          std::fprintf(stderr, "wire decode: line %zu rejected: %s\n", count,
+                       doc.ok ? error.c_str() : doc.error.c_str());
+          std::exit(1);
+        }
+        key_bytes += serve::cache_key(request).size();
+        ++count;
+      }
+      elapsed = now_ns() - t0;
+    } while (elapsed < 50'000'000);
+    const double ns = static_cast<double>(elapsed) / static_cast<double>(count);
+    if (pass == 0 || ns < best) best = ns;
+    decoded += count;
+  }
+  if (key_bytes == 0) std::exit(1);  // keeps the decode observable
+  return best;
 }
 
 /// Start a nonblocking connect to 127.0.0.1:port. Returns the fd with the
@@ -762,6 +832,12 @@ int main(int argc, char** argv) {
         rss_ratio * 100.0);
   }
 
+  std::size_t decoded_lines = 0;
+  const double decode_ns = wire_decode_ns(decoded_lines);
+  report.note("wire decode (parse_json + parse_request + cache_key, 16..128 "
+              "streams): %.2f us per line\n",
+              decode_ns * 1e-3);
+
   Table table({"name", "iterations", "real_time", "cpu_time", "time_unit"});
   const auto add_row = [&](const std::string& name, double ns,
                            std::size_t iterations) {
@@ -785,6 +861,7 @@ int main(int argc, char** argv) {
             connections);
     report.record_table("connection_sweep", sweep);
   }
+  add_row("BM_ServeWireDecode", decode_ns, decoded_lines);
   report.record_table("benchmarks", table);
   if (report.verbose()) table.print(std::cout);
   if (report.format() == obs::OutputFormat::kCsv) table.print_csv(std::cout);

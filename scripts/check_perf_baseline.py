@@ -75,8 +75,15 @@ RELAXED_MAX_REGRESSION = {
     "BM_Serve": 4.0,
 }
 
+# Rows under a relaxed prefix that are in-process CPU timings, not loopback
+# measurements: they keep the default budget and feed the machine-speed
+# median. BM_ServeWireDecode is the reactor's per-line request decode.
+IN_PROCESS = {"BM_ServeWireDecode"}
+
 
 def max_regression_for(name, default):
+    if split_arg(name)[0] in IN_PROCESS:
+        return default
     for prefix, budget in RELAXED_MAX_REGRESSION.items():
         if name.startswith(prefix):
             return budget

@@ -1,12 +1,11 @@
 #include "tokenring/obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <system_error>
-#include <utility>
 
 #include "tokenring/common/checks.hpp"
 
@@ -162,7 +161,98 @@ void JsonWriter::value_raw(std::string_view token) {
   os_ << token;
 }
 
+// ---- document ------------------------------------------------------------------
+
+namespace detail {
+
+/// A node as the parser records it: offsets instead of pointers, because
+/// the node array and the side buffer still grow while parsing.
+struct JsonSlot {
+  /// Scalars: byte offset of the token / payload. Containers: index of the
+  /// first child in the node array.
+  std::uint32_t begin = 0;
+  /// Token or payload bytes; array elements; object members.
+  std::uint32_t size = 0;
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
+  /// Bool: the value. String: the payload is in `unescaped`.
+  bool flag = false;
+};
+
+struct JsonDocument : std::enable_shared_from_this<JsonDocument> {
+  /// Owned copy of the input; number tokens and escape-free strings view
+  /// it.
+  std::string text;
+  /// Decoded payloads of strings that contain a backslash escape.
+  std::string unescaped;
+  /// Every node, each container's children contiguous; the root is last.
+  std::vector<JsonValue> nodes;
+
+  /// Turn the parser's slots into nodes, offsets into pointers.
+  void materialize(const std::vector<JsonSlot>& slots) {
+    nodes.resize(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      const JsonSlot& slot = slots[i];
+      JsonValue& node = nodes[i];
+      node.kind_ = slot.kind;
+      node.size_ = slot.size;
+      node.doc_ = this;
+      switch (slot.kind) {
+        case JsonValue::Kind::kBool:
+          node.bool_ = slot.flag;
+          break;
+        case JsonValue::Kind::kNumber:
+          node.chars_ = text.data() + slot.begin;
+          break;
+        case JsonValue::Kind::kString:
+          node.chars_ =
+              (slot.flag ? unescaped.data() : text.data()) + slot.begin;
+          break;
+        case JsonValue::Kind::kArray:
+        case JsonValue::Kind::kObject:
+          node.children_ = nodes.data() + slot.begin;
+          break;
+        case JsonValue::Kind::kNull:
+          break;
+      }
+    }
+  }
+};
+
+}  // namespace detail
+
 // ---- JsonValue ----------------------------------------------------------------
+
+namespace {
+
+bool is_container(JsonValue::Kind kind) {
+  return kind == JsonValue::Kind::kArray || kind == JsonValue::Kind::kObject;
+}
+
+}  // namespace
+
+JsonValue::JsonValue(const JsonValue& other)
+    : size_(other.size_),
+      kind_(other.kind_),
+      bool_(other.bool_),
+      doc_(other.doc_),
+      owner_(other.owner_ || other.doc_ == nullptr
+                 ? other.owner_
+                 : other.doc_->shared_from_this()) {
+  if (is_container(kind_)) {
+    children_ = other.children_;
+  } else {
+    chars_ = other.chars_;
+  }
+}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+JsonValue::Member JsonValue::MemberRange::iterator::operator*() const {
+  return Member{at_[0].text(), at_[1]};
+}
 
 bool JsonValue::as_bool() const {
   TR_EXPECTS_MSG(kind_ == Kind::kBool, "JSON value is not a boolean");
@@ -171,93 +261,65 @@ bool JsonValue::as_bool() const {
 
 double JsonValue::as_double() const {
   TR_EXPECTS_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return std::strtod(scalar_.c_str(), nullptr);
+  // from_chars rounds correctly, as glibc's strtod does, so a full match
+  // is strtod's answer. Out of range it reports an error instead of
+  // strtod's +-HUGE_VAL or rounded subnormal/zero; ask strtod for those.
+  double out = 0.0;
+  const char* end = chars_ + size_;
+  const auto res = std::from_chars(chars_, end, out);
+  if (res.ec == std::errc() && res.ptr == end) return out;
+  return std::strtod(std::string(text()).c_str(), nullptr);
 }
 
 std::int64_t JsonValue::as_int64() const {
   TR_EXPECTS_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
   std::int64_t out = 0;
-  const char* end = scalar_.data() + scalar_.size();
-  const auto res = std::from_chars(scalar_.data(), end, out);
+  const char* end = chars_ + size_;
+  const auto res = std::from_chars(chars_, end, out);
   TR_EXPECTS_MSG(res.ec == std::errc() && res.ptr == end,
-                 "JSON number is not a representable integer: " + scalar_);
+                 "JSON number is not a representable integer: " +
+                     std::string(text()));
   return out;
 }
 
 std::uint64_t JsonValue::as_uint64() const {
   TR_EXPECTS_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
   std::uint64_t out = 0;
-  const char* end = scalar_.data() + scalar_.size();
-  const auto res = std::from_chars(scalar_.data(), end, out);
+  const char* end = chars_ + size_;
+  const auto res = std::from_chars(chars_, end, out);
   TR_EXPECTS_MSG(res.ec == std::errc() && res.ptr == end,
                  "JSON number is not a representable unsigned integer: " +
-                     scalar_);
+                     std::string(text()));
   return out;
 }
 
-const std::string& JsonValue::number_token() const {
+std::string_view JsonValue::number_token() const {
   TR_EXPECTS_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return scalar_;
+  return text();
 }
 
-const std::string& JsonValue::as_string() const {
+std::string_view JsonValue::as_string() const {
   TR_EXPECTS_MSG(kind_ == Kind::kString, "JSON value is not a string");
-  return scalar_;
+  return text();
 }
 
-const std::vector<JsonValue>& JsonValue::items() const {
+std::span<const JsonValue> JsonValue::items() const {
   TR_EXPECTS_MSG(kind_ == Kind::kArray, "JSON value is not an array");
-  return items_;
+  return {children_, size_};
 }
 
-const std::vector<JsonValue::Member>& JsonValue::members() const {
+JsonValue::MemberRange JsonValue::members() const {
   TR_EXPECTS_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  return members_;
+  return MemberRange(children_, size_);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   TR_EXPECTS_MSG(kind_ == Kind::kObject, "JSON value is not an object");
-  for (const auto& [k, v] : members_) {
-    if (k == key) return &v;
+  const JsonValue* end = children_ + 2 * std::size_t{size_};
+  for (const JsonValue* at = children_; at != end; at += 2) {
+    if (at[0].text() == key) return at + 1;
   }
   return nullptr;
-}
-
-JsonValue JsonValue::make_null() { return JsonValue{}; }
-
-JsonValue JsonValue::make_bool(bool v) {
-  JsonValue out;
-  out.kind_ = Kind::kBool;
-  out.bool_ = v;
-  return out;
-}
-
-JsonValue JsonValue::make_number(std::string token) {
-  JsonValue out;
-  out.kind_ = Kind::kNumber;
-  out.scalar_ = std::move(token);
-  return out;
-}
-
-JsonValue JsonValue::make_string(std::string v) {
-  JsonValue out;
-  out.kind_ = Kind::kString;
-  out.scalar_ = std::move(v);
-  return out;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue out;
-  out.kind_ = Kind::kArray;
-  out.items_ = std::move(items);
-  return out;
-}
-
-JsonValue JsonValue::make_object(std::vector<Member> members) {
-  JsonValue out;
-  out.kind_ = Kind::kObject;
-  out.members_ = std::move(members);
-  return out;
 }
 
 // ---- parsing / validation -----------------------------------------------------
@@ -283,37 +345,53 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-/// Index-based recursive-descent parser; bounded depth. With build ==
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+bool is_hex_digit(char c) {
+  return is_digit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F');
+}
+
+using detail::JsonSlot;
+using Kind = JsonValue::Kind;
+
+/// Index-based recursive-descent parser; bounded depth. With kBuild ==
 /// false it only validates (no allocation beyond the call stack), which is
-/// what is_valid_json and the strict writer use on hot paths. On failure
-/// pos_ is left at the offending byte for the error report.
+/// what is_valid_json and the strict writer use on hot paths. With kBuild
+/// it records one slot per node into `doc`: a container's children are
+/// gathered on a stack while it is open and moved to the node array, next
+/// to each other, when it closes. On failure pos_ is left at the offending
+/// byte for the error report.
+template <bool kBuild>
 class Parser {
  public:
-  Parser(std::string_view text, bool build) : text_(text), build_(build) {}
+  Parser(std::string_view text, detail::JsonDocument* doc)
+      : text_(text), doc_(doc) {}
 
-  JsonParseResult run() {
-    JsonParseResult result;
+  /// Parse the whole input; on success (build mode) the root slot is the
+  /// last of `slots()`.
+  bool run() {
     skip_ws();
-    if (!value(0, &result.value)) return fail(std::move(result));
+    if (!value(0)) return false;
     skip_ws();
     if (pos_ != text_.size()) {
       error_ = "trailing garbage after JSON value";
-      return fail(std::move(result));
+      return false;
     }
-    result.ok = true;
-    return result;
+    if constexpr (kBuild) nodes_.push_back(stack_.back());
+    return true;
+  }
+
+  const std::vector<JsonSlot>& slots() const { return nodes_; }
+
+  /// Fill the failure fields of `result` from where parsing stopped.
+  void report(JsonParseResult& result) const {
+    result.ok = false;
+    result.error_offset = pos_;
+    result.error = error_.empty() ? "malformed JSON" : error_;
   }
 
  private:
   static constexpr std::size_t kMaxDepth = 256;
-
-  JsonParseResult fail(JsonParseResult&& result) {
-    result.ok = false;
-    result.value = JsonValue{};
-    result.error_offset = pos_;
-    result.error = error_.empty() ? "malformed JSON" : error_;
-    return std::move(result);
-  }
 
   bool eof() const { return pos_ >= text_.size(); }
   char peek() const { return text_[pos_]; }
@@ -337,7 +415,27 @@ class Parser {
     return true;
   }
 
-  bool value(std::size_t depth, JsonValue* out) {
+  void push(std::size_t begin, std::size_t size, Kind kind,
+            bool flag = false) {
+    if constexpr (kBuild) {
+      stack_.push_back(JsonSlot{static_cast<std::uint32_t>(begin),
+                                static_cast<std::uint32_t>(size), kind,
+                                flag});
+    }
+  }
+
+  /// Close the container whose children start at stack_[mark]: move them
+  /// to the node array and leave one slot for the container itself.
+  void close(std::size_t mark, Kind kind, std::size_t count) {
+    if constexpr (kBuild) {
+      const std::size_t first = nodes_.size();
+      nodes_.insert(nodes_.end(), stack_.begin() + mark, stack_.end());
+      stack_.resize(mark);
+      push(first, count, kind);
+    }
+  }
+
+  bool value(std::size_t depth) {
     if (depth > kMaxDepth) {
       error_ = "nesting deeper than 256 levels";
       return false;
@@ -348,38 +446,35 @@ class Parser {
     }
     switch (peek()) {
       case '{':
-        return object(depth, out);
+        return object(depth);
       case '[':
-        return array(depth, out);
-      case '"': {
-        std::string decoded;
-        if (!string(out ? &decoded : nullptr)) return false;
-        if (out && build_) *out = JsonValue::make_string(std::move(decoded));
-        return true;
-      }
+        return array(depth);
+      case '"':
+        return string();
       case 't':
         if (!literal("true")) return false;
-        if (out && build_) *out = JsonValue::make_bool(true);
+        push(0, 0, Kind::kBool, true);
         return true;
       case 'f':
         if (!literal("false")) return false;
-        if (out && build_) *out = JsonValue::make_bool(false);
+        push(0, 0, Kind::kBool, false);
         return true;
       case 'n':
         if (!literal("null")) return false;
-        if (out && build_) *out = JsonValue::make_null();
+        push(0, 0, Kind::kNull);
         return true;
       default:
-        return number(out);
+        return number();
     }
   }
 
-  bool object(std::size_t depth, JsonValue* out) {
+  bool object(std::size_t depth) {
     consume('{');
     skip_ws();
-    std::vector<JsonValue::Member> members;
+    const std::size_t mark = stack_.size();
+    std::size_t count = 0;
     if (consume('}')) {
-      if (out && build_) *out = JsonValue::make_object(std::move(members));
+      close(mark, Kind::kObject, count);
       return true;
     }
     while (true) {
@@ -388,20 +483,18 @@ class Parser {
         error_ = "expected object key";
         return false;
       }
-      std::string key;
-      if (!string(build_ ? &key : nullptr)) return false;
+      if (!string()) return false;
       skip_ws();
       if (!consume(':')) {
         error_ = "expected ':' after object key";
         return false;
       }
       skip_ws();
-      JsonValue member;
-      if (!value(depth + 1, out ? &member : nullptr)) return false;
-      if (build_) members.emplace_back(std::move(key), std::move(member));
+      if (!value(depth + 1)) return false;
+      ++count;
       skip_ws();
       if (consume('}')) {
-        if (out && build_) *out = JsonValue::make_object(std::move(members));
+        close(mark, Kind::kObject, count);
         return true;
       }
       if (!consume(',')) {
@@ -411,22 +504,22 @@ class Parser {
     }
   }
 
-  bool array(std::size_t depth, JsonValue* out) {
+  bool array(std::size_t depth) {
     consume('[');
     skip_ws();
-    std::vector<JsonValue> items;
+    const std::size_t mark = stack_.size();
+    std::size_t count = 0;
     if (consume(']')) {
-      if (out && build_) *out = JsonValue::make_array(std::move(items));
+      close(mark, Kind::kArray, count);
       return true;
     }
     while (true) {
       skip_ws();
-      JsonValue item;
-      if (!value(depth + 1, out ? &item : nullptr)) return false;
-      if (build_) items.push_back(std::move(item));
+      if (!value(depth + 1)) return false;
+      ++count;
       skip_ws();
       if (consume(']')) {
-        if (out && build_) *out = JsonValue::make_array(std::move(items));
+        close(mark, Kind::kArray, count);
         return true;
       }
       if (!consume(',')) {
@@ -436,16 +529,50 @@ class Parser {
     }
   }
 
-  /// Parse one string token; when `decoded` is non-null, also unescape
-  /// into it (so validation-only passes never allocate).
-  bool string(std::string* decoded) {
+  /// Parse one string token. A string without escapes is recorded as a
+  /// view of the input; the first backslash hands over to
+  /// escaped_string, which decodes into the side buffer.
+  bool string() {
     consume('"');
+    const std::size_t start = pos_;
+    while (!eof()) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"') {
+        push(start, pos_ - start, Kind::kString);
+        ++pos_;
+        return true;
+      }
+      if (c == '\\') return escaped_string(start);
+      if (c < 0x20) {
+        error_ = "raw control character in string";
+        return false;
+      }
+      ++pos_;
+    }
+    error_ = "unterminated string";
+    return false;
+  }
+
+  /// The rest of a string from its first backslash at pos_; the bytes
+  /// from `start` up to it are plain. Build mode decodes the whole
+  /// payload into the document's side buffer.
+  bool escaped_string(std::size_t start) {
+    std::string* decoded = nullptr;
+    std::size_t begin = 0;
+    if constexpr (kBuild) {
+      decoded = &doc_->unescaped;
+      begin = decoded->size();
+      decoded->append(text_.substr(start, pos_ - start));
+    }
     std::uint32_t pending_high = 0;  // pending high surrogate, 0 = none
     while (!eof()) {
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         if (pending_high && decoded) append_utf8(*decoded, 0xFFFD);
         ++pos_;
+        if (decoded) {
+          push(begin, decoded->size() - begin, Kind::kString, true);
+        }
         return true;
       }
       if (c < 0x20) {
@@ -462,8 +589,7 @@ class Parser {
         if (esc == 'u') {
           std::uint32_t cp = 0;
           for (int i = 0; i < 4; ++i) {
-            if (eof() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
+            if (eof() || !is_hex_digit(text_[pos_])) {
               error_ = "\\u escape needs four hex digits";
               return false;
             }
@@ -542,20 +668,20 @@ class Parser {
   }
 
   bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
+    if (eof() || !is_digit(peek())) {
       error_ = "expected digits";
       return false;
     }
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    while (!eof() && is_digit(peek())) ++pos_;
     return true;
   }
 
-  bool number(JsonValue* out) {
+  bool number() {
     const std::size_t start = pos_;
     consume('-');
     if (consume('0')) {
       // leading zero must not be followed by more digits
-      if (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
+      if (!eof() && is_digit(peek())) {
         error_ = "leading zero in number";
         return false;
       }
@@ -575,31 +701,52 @@ class Parser {
         return false;
       }
     }
-    if (out && build_) {
-      *out = JsonValue::make_number(
-          std::string(text_.substr(start, pos_ - start)));
-    }
+    push(start, pos_ - start, Kind::kNumber);
     return true;
   }
 
   std::string_view text_;
-  bool build_;
+  detail::JsonDocument* doc_;
   std::size_t pos_ = 0;
   std::string error_;
+  /// Build mode: slots of the open containers' children, innermost last.
+  std::vector<JsonSlot> stack_;
+  /// Build mode: the node array, in its final order.
+  std::vector<JsonSlot> nodes_;
 };
 
 }  // namespace
 
 JsonParseResult parse_json(std::string_view text) {
-  return Parser(text, /*build=*/true).run();
+  TR_EXPECTS_MSG(text.size() < (std::size_t{1} << 32),
+                 "JSON documents are limited to 4 GiB");
+  auto doc = std::make_shared<detail::JsonDocument>();
+  doc->text.assign(text);
+  Parser<true> parser(doc->text, doc.get());
+  JsonParseResult result;
+  if (!parser.run()) {
+    parser.report(result);
+    return result;
+  }
+  doc->materialize(parser.slots());
+  result.ok = true;
+  result.value = doc->nodes.back();
+  return result;
 }
 
 JsonParseResult validate_json(std::string_view text) {
-  return Parser(text, /*build=*/false).run();
+  Parser<false> parser(text, nullptr);
+  JsonParseResult result;
+  if (parser.run()) {
+    result.ok = true;
+  } else {
+    parser.report(result);
+  }
+  return result;
 }
 
 bool is_valid_json(std::string_view text) {
-  return Parser(text, /*build=*/false).run().ok;
+  return Parser<false>(text, nullptr).run();
 }
 
 }  // namespace tokenring::obs

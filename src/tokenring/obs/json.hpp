@@ -2,17 +2,19 @@
 //
 // JsonWriter is a streaming writer with automatic comma/colon handling and
 // optional pretty-printing; it backs the JSONL trace sink and the run
-// manifest. is_valid_json is a strict structural validator used by tests
-// to round-trip every emitted line without a third-party parser.
+// manifest. parse_json reads one document into a flat node array (the serve
+// daemon's request decoder); validate_json and is_valid_json run the same
+// parser without building nodes, so all three agree on every input.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace tokenring::obs {
@@ -82,17 +84,78 @@ class JsonWriter {
   bool strict_ = false;
 };
 
-/// Parsed JSON document node. Numbers keep their raw source token so
-/// 64-bit integers (seeds) round-trip without passing through a double.
+namespace detail {
+struct JsonDocument;
+}  // namespace detail
+
+/// One node of a parsed JSON document. parse_json lays every node of a
+/// document out in one contiguous array, children of a container next to
+/// each other; the document also owns a copy of the input text, and
+/// number and string nodes are views into that copy (strings with escapes
+/// point into a side buffer of decoded bytes instead). Numbers keep their
+/// raw source token so 64-bit integers (seeds) round-trip without passing
+/// through a double.
+///
+/// A JsonValue copied out of a document (the root in JsonParseResult, or
+/// any node copied by value) shares ownership of the document, so it stays
+/// valid after the JsonParseResult is gone. References and pointers handed
+/// out by find/items/members point into the document and live as long as
+/// the value they came from.
+///
 /// Accessors check the kind and throw PreconditionError on mismatch, so a
 /// request handler reading the wrong shape fails with a message rather
 /// than garbage.
 class JsonValue {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Member = std::pair<std::string, JsonValue>;
+  enum class Kind : std::uint8_t {
+    kNull,
+    kBool,
+    kNumber,
+    kString,
+    kArray,
+    kObject
+  };
+
+  /// One object member; both halves view the document.
+  struct Member {
+    std::string_view key;
+    const JsonValue& value;
+  };
+
+  /// Object members in source order: a key node and its value node sit
+  /// next to each other in the document's node array.
+  class MemberRange {
+   public:
+    class iterator {
+     public:
+      explicit iterator(const JsonValue* at) : at_(at) {}
+      Member operator*() const;
+      iterator& operator++() {
+        at_ += 2;
+        return *this;
+      }
+      bool operator==(const iterator& other) const = default;
+
+     private:
+      const JsonValue* at_;
+    };
+
+    MemberRange(const JsonValue* first, std::size_t count)
+        : first_(first), count_(count) {}
+    iterator begin() const { return iterator(first_); }
+    iterator end() const { return iterator(first_ + 2 * count_); }
+    std::size_t size() const { return count_; }
+
+   private:
+    const JsonValue* first_;
+    std::size_t count_;
+  };
 
   JsonValue() = default;
+  JsonValue(const JsonValue& other);
+  JsonValue& operator=(const JsonValue& other);
+  JsonValue(JsonValue&&) noexcept = default;
+  JsonValue& operator=(JsonValue&&) noexcept = default;
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -103,32 +166,41 @@ class JsonValue {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   bool as_bool() const;
+  /// The number as a double, bit-identical to strtod on the token (read
+  /// with std::from_chars; strtod only when the token overflows or
+  /// underflows a double).
   double as_double() const;
   /// Integer value; requires a number whose token is integral and in
   /// range (no silent truncation of 1.5 or 2^64).
   std::int64_t as_int64() const;
   std::uint64_t as_uint64() const;
   /// Raw source token of a number ("1e-3", "42"), for exact round-trips.
-  const std::string& number_token() const;
-  const std::string& as_string() const;
-  const std::vector<JsonValue>& items() const;       // array elements
-  const std::vector<Member>& members() const;        // object members, in order
+  std::string_view number_token() const;
+  /// Decoded string payload (escapes resolved, UTF-8).
+  std::string_view as_string() const;
+  std::span<const JsonValue> items() const;  // array elements
+  MemberRange members() const;                // object members, in order
   /// Object member lookup (first match); nullptr when absent.
   const JsonValue* find(std::string_view key) const;
 
-  static JsonValue make_null();
-  static JsonValue make_bool(bool v);
-  static JsonValue make_number(std::string token);
-  static JsonValue make_string(std::string v);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(std::vector<Member> members);
-
  private:
+  friend struct detail::JsonDocument;
+
+  std::string_view text() const { return {chars_, size_}; }
+
+  union {
+    const char* chars_ = nullptr;   // number token / string payload
+    const JsonValue* children_;     // first child (object: first key)
+  };
+  /// Token or payload bytes; array elements; object members.
+  std::uint32_t size_ = 0;
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
-  std::string scalar_;              // number token or string payload
-  std::vector<JsonValue> items_;    // array elements
-  std::vector<Member> members_;     // object members
+  /// The document this node lives in; null for a default-constructed
+  /// value.
+  const detail::JsonDocument* doc_ = nullptr;
+  /// Set on values copied out of the document, which keep it alive.
+  std::shared_ptr<const detail::JsonDocument> owner_;
 };
 
 /// Outcome of parse_json / validate_json. On failure `error_offset` is the
@@ -151,7 +223,8 @@ struct JsonParseResult {
 /// validator's acceptance of any hex quad).
 JsonParseResult parse_json(std::string_view text);
 
-/// Validation without keeping the document: parse_json minus the value.
+/// Validation without keeping the document: parse_json minus the value,
+/// with the same diagnostics (error text and byte offset) for every input.
 JsonParseResult validate_json(std::string_view text);
 
 /// True iff `text` is exactly one complete JSON value (with optional

@@ -12,8 +12,7 @@
 //
 // Jobs must not recursively use the group executor (nested parallel_for
 // on one pool deadlocks); compute handlers run their internal work
-// sequentially and get their parallelism across queries, plus the SoA
-// lane parallelism inside each saturation search.
+// sequentially and get their parallelism across queries.
 
 #pragma once
 

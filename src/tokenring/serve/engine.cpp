@@ -238,6 +238,11 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
                 value = compute_advise(request.advise);
                 break;
             }
+            // Validated once, here on the pool thread: a result that is
+            // not valid JSON becomes this request's 500 and never enters
+            // the cache, so every hit can be enveloped unchecked.
+            TR_EXPECTS_MSG(obs::is_valid_json(value),
+                           "compute result is not valid JSON");
             // EWMA (alpha 1/8) of job cost feeds the shed back-off
             // hint; relaxed is fine, it is an estimate.
             const std::uint64_t took = clock_() - begun;

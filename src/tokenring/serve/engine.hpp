@@ -35,8 +35,12 @@
 //
 // Compute runs on the Batcher's executor group dispatch; handlers
 // themselves are sequential (nested parallel_for on one pool would
-// deadlock) and the advise handler leans on the SoA lockstep batch inside
-// the saturation search for its intra-query parallelism.
+// deadlock), so the parallelism is across queries: the advise handler's
+// saturation searches run one scalar kernel after another inside its job.
+//
+// Every compute result is checked to be valid JSON once, on the pool
+// thread, before it enters the cache; the ready-hit path then wraps it in
+// the success envelope by plain string appends.
 
 #pragma once
 

@@ -1,6 +1,11 @@
 #include "tokenring/serve/wire.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "tokenring/common/checks.hpp"
@@ -8,6 +13,10 @@
 namespace tokenring::serve {
 
 namespace {
+
+/// 2^64: a deadline must stay below this many nanoseconds for the
+/// engine's uint64 conversion to be defined.
+constexpr double kDeadlineNsLimit = 18446744073709551616.0;
 
 /// Render a scalar JsonValue back to its JSON token (for the id echo).
 bool render_scalar(const obs::JsonValue& v, std::string& out) {
@@ -19,7 +28,7 @@ bool render_scalar(const obs::JsonValue& v, std::string& out) {
       out = v.as_bool() ? "true" : "false";
       return true;
     case obs::JsonValue::Kind::kNumber:
-      out = v.number_token();
+      out.assign(v.number_token());
       return true;
     case obs::JsonValue::Kind::kString: {
       std::string quoted = obs::escape_json(v.as_string());
@@ -38,7 +47,9 @@ bool fail(std::string& error, std::string message) {
   return false;
 }
 
-/// Finite number >= `min`; `name` feeds the 400 message.
+/// Finite number >= `min`; `name` feeds the 400 message. A token too
+/// large for a double (1e999) reads as +inf and is refused here, before
+/// it can reach a verdict, a cache key or a deadline cast.
 bool read_number(const obs::JsonValue& v, const char* name, double min,
                  double& out, std::string& error) {
   if (!v.is_number()) return fail(error, std::string("\"") + name + "\" must be a number");
@@ -46,6 +57,9 @@ bool read_number(const obs::JsonValue& v, const char* name, double min,
   if (!(d >= min)) {
     return fail(error, std::string("\"") + name + "\" must be >= " +
                            obs::json_number(min));
+  }
+  if (!std::isfinite(d)) {
+    return fail(error, std::string("\"") + name + "\" must be finite");
   }
   out = d;
   return true;
@@ -66,8 +80,23 @@ bool read_int(const obs::JsonValue& v, const char* name, std::int64_t min,
   return true;
 }
 
-bool known_protocol(const std::string& name) {
-  return name == "fddi" || name == "ieee8025" || name == "modified8025";
+constexpr std::array<std::string_view, 3> kProtocols = {"fddi", "ieee8025",
+                                                        "modified8025"};
+
+/// Index of `name` in kProtocols; kProtocols.size() when unknown.
+std::size_t protocol_index(std::string_view name) {
+  return static_cast<std::size_t>(
+      std::find(kProtocols.begin(), kProtocols.end(), name) -
+      kProtocols.begin());
+}
+
+/// Append the object bytes of `v` (a double's bit pattern, an integer).
+template <typename T>
+void append_bytes(std::string& key, T v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  key.append(bytes, sizeof(T));
 }
 
 bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
@@ -75,10 +104,15 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
   if (!v.is_array() || v.items().empty()) {
     return fail(error, "\"streams\" must be a non-empty array");
   }
-  for (std::size_t i = 0; i < v.items().size(); ++i) {
-    const obs::JsonValue& item = v.items()[i];
-    const std::string where = "streams[" + std::to_string(i) + "]";
-    if (!item.is_object()) return fail(error, where + " must be an object");
+  const auto items = v.items();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const obs::JsonValue& item = items[i];
+    // Prefix `message` with "streams[i]"; built only on the error path.
+    const auto at = [&error, i](std::string_view message) {
+      return fail(error, "streams[" + std::to_string(i) + "]" +
+                             std::string(message));
+    };
+    if (!item.is_object()) return at(" must be an object");
     msg::SyncStream s;
     double period_ms = 0.0;
     double deadline_ms = 0.0;
@@ -88,37 +122,36 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
       if (key == "station") {
         std::int64_t station = 0;
         if (!read_int(value, "station", 0, station, error)) {
-          return fail(error, where + ": " + error);
+          return at(": " + error);
         }
         s.station = static_cast<int>(station);
       } else if (key == "period_ms") {
         if (!read_number(value, "period_ms", 0.0, period_ms, error)) {
-          return fail(error, where + ": " + error);
+          return at(": " + error);
         }
         have_period = true;
       } else if (key == "payload_bits") {
         if (!read_number(value, "payload_bits", 0.0, s.payload_bits, error)) {
-          return fail(error, where + ": " + error);
+          return at(": " + error);
         }
         have_payload = true;
       } else if (key == "deadline_ms") {
         if (!read_number(value, "deadline_ms", 0.0, deadline_ms, error)) {
-          return fail(error, where + ": " + error);
+          return at(": " + error);
         }
       } else {
-        return fail(error, where + ": unknown field \"" + key + "\"");
+        return at(": unknown field \"" + std::string(key) + "\"");
       }
     }
     if (!have_period || !have_payload) {
-      return fail(error,
-                  where + " needs \"period_ms\" and \"payload_bits\"");
+      return at(" needs \"period_ms\" and \"payload_bits\"");
     }
     s.period = milliseconds(period_ms);
     s.relative_deadline = milliseconds(deadline_ms);
     try {
       s.validate();
     } catch (const PreconditionError& e) {
-      return fail(error, where + ": " + e.what());
+      return at(std::string(": ") + e.what());
     }
     out.add(s);
   }
@@ -136,6 +169,9 @@ bool parse_bandwidths(const obs::JsonValue& v, std::vector<double>& out,
     if (!item.is_number() || !((bw = item.as_double()) > 0.0)) {
       return fail(error,
                   "\"bandwidths_mbps\" entries must be positive numbers");
+    }
+    if (!std::isfinite(bw)) {
+      return fail(error, "\"bandwidths_mbps\" entries must be finite");
     }
     out.push_back(bw);
   }
@@ -174,7 +210,7 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
   const obs::JsonValue* type = doc.find("type");
   if (!type) return fail(error, "missing \"type\"");
   if (!type->is_string()) return fail(error, "\"type\" must be a string");
-  const std::string& name = type->as_string();
+  const std::string_view name = type->as_string();
   if (name == "ping") {
     out.type = RequestType::kPing;
   } else if (name == "stats") {
@@ -186,7 +222,7 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
   } else if (name == "advise") {
     out.type = RequestType::kAdvise;
   } else {
-    return fail(error, "unknown type \"" + name +
+    return fail(error, "unknown type \"" + std::string(name) +
                            "\" (ping|stats|check|faultcheck|advise)");
   }
 
@@ -204,8 +240,14 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
       if (!read_number(value, "deadline_ms", 0.0, out.deadline_ms, error)) {
         return false;
       }
+      // The engine counts the deadline in uint64 nanoseconds.
+      if (!(out.deadline_ms * 1e6 < kDeadlineNsLimit)) {
+        return fail(error, "\"deadline_ms\" must be < " +
+                               obs::json_number(kDeadlineNsLimit / 1e6));
+      }
     } else if (is_check && key == "protocol") {
-      if (!value.is_string() || !known_protocol(value.as_string())) {
+      if (!value.is_string() ||
+          protocol_index(value.as_string()) == kProtocols.size()) {
         return fail(error,
                     "\"protocol\" must be ieee8025|modified8025|fddi");
       }
@@ -258,8 +300,8 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
         return fail(error, "\"seed\" must be an unsigned integer");
       }
     } else {
-      return fail(error, "unknown field \"" + key + "\" for type \"" +
-                             to_string(out.type) + "\"");
+      return fail(error, "unknown field \"" + std::string(key) +
+                             "\" for type \"" + to_string(out.type) + "\"");
     }
   }
   if (is_check && !have_streams) {
@@ -270,42 +312,45 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
 }
 
 std::string cache_key(const Request& request) {
+  // Fixed-width bytes of the parsed values: a type byte, then (checks) a
+  // protocol byte, the bandwidth's bit pattern, faultcheck's noise, and
+  // per stream its station and three doubles; (advise) the profile and
+  // each candidate bandwidth. Spelling is gone after parsing, and distinct
+  // doubles have distinct bits, so two requests share a key exactly when
+  // their parsed values are equal ("100" == 1e2, -0 != 0).
+  std::string key;
   switch (request.type) {
     case RequestType::kPing:
     case RequestType::kStats:
       return {};
     case RequestType::kCheck:
     case RequestType::kFaultcheck: {
-      // json_number canonicalizes spelled-out numbers ("1e2" == "100").
-      std::string key = to_string(request.type);
-      key += "|p=" + request.check.protocol;
-      key += "|bw=" + obs::json_number(request.check.bandwidth_mbps);
+      const CheckQuery& check = request.check;
+      key.reserve(2 + 2 * sizeof(double) +
+                  check.set.size() * (sizeof(int) + 3 * sizeof(double)));
+      key += static_cast<char>(request.type);
+      key += static_cast<char>(protocol_index(check.protocol));
+      append_bytes(key, check.bandwidth_mbps);
       if (request.type == RequestType::kFaultcheck) {
-        key += "|noise=" + obs::json_number(request.check.noise_ms);
+        append_bytes(key, check.noise_ms);
       }
-      for (const auto& s : request.check.set.streams()) {
-        key += '|';
-        key += std::to_string(s.station);
-        key += ':';
-        key += obs::json_number(s.period);
-        key += ':';
-        key += obs::json_number(s.payload_bits);
-        key += ':';
-        key += obs::json_number(s.relative_deadline);
+      for (const auto& s : check.set.streams()) {
+        append_bytes(key, s.station);
+        append_bytes(key, s.period);
+        append_bytes(key, s.payload_bits);
+        append_bytes(key, s.relative_deadline);
       }
       return key;
     }
     case RequestType::kAdvise: {
-      std::string key = "advise";
-      key += "|n=" + std::to_string(request.advise.stations);
-      key += "|mp=" + obs::json_number(request.advise.mean_period_ms);
-      key += "|pr=" + obs::json_number(request.advise.period_ratio);
-      key += "|sets=" + std::to_string(request.advise.sets);
-      key += "|seed=" + std::to_string(request.advise.seed);
-      key += "|bw=";
-      for (double bw : request.advise.bandwidths_mbps) {
-        key += obs::json_number(bw) + ",";
-      }
+      const AdviseQuery& advise = request.advise;
+      key += static_cast<char>(request.type);
+      append_bytes(key, advise.stations);
+      append_bytes(key, advise.mean_period_ms);
+      append_bytes(key, advise.period_ratio);
+      append_bytes(key, advise.sets);
+      append_bytes(key, advise.seed);
+      for (double bw : advise.bandwidths_mbps) append_bytes(key, bw);
       return key;
     }
   }
@@ -314,18 +359,24 @@ std::string cache_key(const Request& request) {
 
 std::string success_response(std::string_view id_token, RequestType type,
                              bool cached, std::string_view result_json) {
-  std::ostringstream os;
-  obs::JsonWriter w(os);
-  w.set_strict(true);
-  w.begin_object();
-  w.key("schema").value_string(kServeSchema);
-  w.key("id").value_raw(id_token);
-  w.key("type").value_string(to_string(type));
-  w.key("status").value_int(200);
-  w.key("cached").value_bool(cached);
-  w.key("result").value_raw(result_json);
-  w.end_object();
-  return os.str();
+  // Plain appends, byte for byte what a compact JsonWriter emits. Both
+  // embedded tokens are valid JSON already: the id was rendered from a
+  // parsed scalar, and a result is validated once, before it is cached.
+  const std::string_view type_name = to_string(type);
+  std::string out;
+  out.reserve(80 + id_token.size() + type_name.size() + result_json.size());
+  out += "{\"schema\":\"";
+  out += kServeSchema;
+  out += "\",\"id\":";
+  out += id_token;
+  out += ",\"type\":\"";
+  out += type_name;
+  out += "\",\"status\":200,\"cached\":";
+  out += cached ? "true" : "false";
+  out += ",\"result\":";
+  out += result_json;
+  out += '}';
+  return out;
 }
 
 std::string error_response(std::string_view id_token, int status,

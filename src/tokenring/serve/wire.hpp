@@ -72,9 +72,10 @@ struct Request {
   /// Rate-limit key; empty means "use the connection's fallback id".
   std::string client;
   /// Compute types only: total time the client is willing to wait for
-  /// this answer [milliseconds]; 0 = no deadline. A request whose
-  /// deadline expires before its compute starts is answered with a 504
-  /// instead of burning a Monte Carlo sweep nobody is waiting for.
+  /// this answer [milliseconds]; 0 = no deadline. Finite, and below 2^64
+  /// nanoseconds. A request whose deadline expires before its compute
+  /// starts is answered with a 504 instead of burning a Monte Carlo sweep
+  /// nobody is waiting for.
   /// Deliberately NOT part of the cache key: the same query with a
   /// different patience is still the same query.
   double deadline_ms = 0.0;
@@ -91,11 +92,15 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
 
 /// Canonical cache key for a compute request: two requests that differ
 /// only in spelling (field order, "100" vs 1e2, explicit defaults) map to
-/// the same key. Empty for ping/stats, which are never cached.
+/// the same key. The key is binary: the parsed values as fixed-width bytes
+/// (a double's bit pattern, not its text). Empty for ping/stats, which are
+/// never cached.
 std::string cache_key(const Request& request);
 
-/// Wrap a rendered result object into the success envelope. `result_json`
-/// must be a complete JSON value (the builders below produce one).
+/// Wrap a rendered result object into the success envelope. `id_token`
+/// and `result_json` must each be one complete JSON value: they are
+/// copied in unchecked (parse_request renders the id; the engine validates
+/// a result once, before caching it).
 std::string success_response(std::string_view id_token, RequestType type,
                              bool cached, std::string_view result_json);
 

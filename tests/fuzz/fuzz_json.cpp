@@ -6,7 +6,9 @@
 //  * a successful parse yields a document whose full traversal stays in
 //    bounds (no dangling child pointers, depth respected);
 //  * a failed parse reports an error offset inside (or just past) the
-//    input, so 400 responses never point outside the request line.
+//    input, so 400 responses never point outside the request line;
+//  * validate_json (the parser without the document) agrees with
+//    parse_json on every input: same verdict, same error offset and text.
 //
 // Built two ways (see CMakeLists.txt): with -fsanitize=fuzzer under
 // clang in CI, and with the standalone corpus-replay driver everywhere
@@ -53,6 +55,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
   const auto result = tokenring::obs::parse_json(text);
+  const auto validated = tokenring::obs::validate_json(text);
+  if (validated.ok != result.ok ||
+      validated.error_offset != result.error_offset ||
+      validated.error != result.error) {
+    __builtin_trap();  // the two modes of the parser disagree
+  }
   if (result.ok) {
     volatile std::size_t sink = walk(result.value);
     (void)sink;

@@ -7,12 +7,15 @@
 //    JSON — a malformed id token or error string must never produce a
 //    response line the client cannot parse;
 //  * cache_key is deterministic for the parsed request (computed twice,
-//    compared), since a flaky key would split or poison the result cache.
+//    compared), since a flaky key would split or poison the result cache;
+//  * a request that parses carries only finite doubles (a 1e999 that
+//    reads as +inf must be refused, not computed or cached).
 //
 // No schedulability compute runs here: the target covers exactly the
 // bytes-to-structured-refusal surface, which is what hostile input can
 // reach without first being a well-formed admission query.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -20,6 +23,27 @@
 
 #include "tokenring/obs/json.hpp"
 #include "tokenring/serve/wire.hpp"
+
+namespace {
+
+bool all_finite(const tokenring::serve::Request& request) {
+  bool finite = std::isfinite(request.deadline_ms) &&
+                std::isfinite(request.check.bandwidth_mbps) &&
+                std::isfinite(request.check.noise_ms) &&
+                std::isfinite(request.advise.mean_period_ms) &&
+                std::isfinite(request.advise.period_ratio);
+  for (const auto& s : request.check.set.streams()) {
+    finite = finite && std::isfinite(s.period) &&
+             std::isfinite(s.payload_bits) &&
+             std::isfinite(s.relative_deadline);
+  }
+  for (double bw : request.advise.bandwidths_mbps) {
+    finite = finite && std::isfinite(bw);
+  }
+  return finite;
+}
+
+}  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
@@ -55,5 +79,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (ok && serve::cache_key(request) != serve::cache_key(request)) {
     __builtin_trap();
   }
+  if (ok && !all_finite(request)) __builtin_trap();
   return 0;
 }

@@ -7,7 +7,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -177,6 +181,110 @@ TEST(JsonParse, DecodesUnicodeEscapesToUtf8) {
   const auto lone = obs::parse_json("\"\\ud83d!\"");
   ASSERT_TRUE(lone.ok);
   EXPECT_EQ(lone.value.as_string(), "\xef\xbf\xbd!");
+}
+
+TEST(JsonParse, CopiedValuesOutliveTheParseResult) {
+  // The document is shared by every value copied out of it, so a copy of
+  // the root or of any child stays readable after the result is gone.
+  obs::JsonValue root;
+  obs::JsonValue child;
+  {
+    const auto doc = obs::parse_json(
+        R"({"a": {"b": [1, "x\ny", {"c": true}]}, "d": "plain", "a": 2})");
+    ASSERT_TRUE(doc.ok) << doc.error;
+    root = doc.value;
+    child = *doc.value.find("a");
+  }
+  ASSERT_TRUE(child.is_object());
+  const auto items = child.find("b")->items();
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].as_int64(), 1);
+  EXPECT_EQ(items[1].as_string(), "x\ny");  // decoded in the side buffer
+  EXPECT_TRUE(items[2].find("c")->as_bool());
+  EXPECT_EQ(root.find("d")->as_string(), "plain");  // a view of the input
+  // find returns the first of duplicate keys; members keeps source order.
+  EXPECT_TRUE(root.find("a")->is_object());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : root.members()) {
+    keys.emplace_back(key);
+    EXPECT_FALSE(value.is_null());
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "d", "a"}));
+  EXPECT_EQ(root.members().size(), 3u);
+}
+
+TEST(JsonParse, AsDoubleMatchesStrtodBitForBit) {
+  // as_double reads with std::from_chars and falls back to strtod out of
+  // range; either way the bits must be strtod's for every JSON number.
+  const auto bits = [](double d) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &d, sizeof d);
+    return b;
+  };
+  const auto same_as_strtod = [&](const std::string& token) {
+    const auto doc = obs::parse_json(token);
+    if (!doc.ok) {
+      ADD_FAILURE() << token << ": " << doc.error;
+      return false;
+    }
+    const double expected = std::strtod(token.c_str(), nullptr);
+    const double got = doc.value.as_double();
+    EXPECT_EQ(bits(got), bits(expected)) << token;
+    return bits(got) == bits(expected);
+  };
+  const char* const edge[] = {
+      // zeros and signs
+      "0", "-0", "-0.0", "0e0", "-0e-5", "0.000",
+      // shortest forms and their respellings
+      "1", "0.1", "0.05", "5e-2", "5.0e-2", "1e-3", "100", "1E2", "1e+2",
+      // 17 significant digits and beyond
+      "0.30000000000000004", "0.1000000000000000055511151231257827",
+      "9007199254740993", "18446744073709551615",
+      "123456789012345678901234567890",
+      // exactly halfway between 1 and its successor (ties to even), and
+      // one digit past it
+      "1.00000000000000011102230246251565404236316680908203125",
+      "1.00000000000000011102230246251565404236316680908203126",
+      // exponents
+      "1e22", "1e23", "-2.5E-10", "7e0", "1e-7",
+      // normal/subnormal boundary and subnormals
+      "2.2250738585072014e-308", "2.2250738585072011e-308",
+      "4.9406564584124654e-324", "4.9e-324", "5e-324",
+      "2.4703282292062328e-324",
+      // underflow to zero
+      "2.4703282292062327e-324", "1e-400", "-1e-400",
+      "0.000000000000000000000000000000000000000000000000000000000000001e-300",
+      // the largest double, rounding onto it, and overflow
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "1e309", "1e999", "-1e999",
+      "17976931348623159000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000"};
+  for (const char* token : edge) same_as_strtod(token);
+
+  // 100k random finite doubles, drawn as uniform bit patterns so every
+  // binade (subnormals included) shows up, in the two spellings clients
+  // send: shortest round-trip (json_number) and printf's %.17g.
+  std::mt19937_64 gen(20260);
+  int failures = 0;
+  for (int i = 0; i < 100000 && failures < 10; ++i) {
+    const std::uint64_t pattern = gen();
+    double d = 0.0;
+    std::memcpy(&d, &pattern, sizeof d);
+    if (!std::isfinite(d)) continue;
+    const std::string shortest = obs::json_number(d);
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", d);
+    if (!same_as_strtod(shortest) || !same_as_strtod(buf)) ++failures;
+    const auto doc = obs::parse_json(shortest);
+    if (bits(doc.value.as_double()) != bits(d)) {
+      ADD_FAILURE() << shortest << " does not round-trip";
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 // ---- registry ----------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,9 +147,134 @@ TEST(ServeWire, CacheKeyCanonicalizesSpelling) {
   auto c = parse_request_ok(kCheckLine);
   c.check.bandwidth_mbps = 16.0;
   EXPECT_NE(serve::cache_key(a), serve::cache_key(c));
-  // The id is not part of the identity of a query.
-  EXPECT_EQ(serve::cache_key(a).find('7'), std::string::npos);
+  // The id is not part of the identity of a query (b carries id 99).
+  EXPECT_EQ(serve::cache_key(a), serve::cache_key(b));
 }
+
+/// A check line with one stream; `bw`, `payload` and `period` are spliced
+/// in as raw JSON number tokens.
+std::string one_stream_check(const std::string& id, const std::string& bw,
+                             const std::string& payload,
+                             const std::string& period = "50") {
+  return "{\"type\":\"check\",\"id\":" + id +
+         ",\"protocol\":\"ieee8025\",\"bandwidth_mbps\":" + bw +
+         ",\"streams\":[{\"station\":3,\"period_ms\":" + period +
+         ",\"payload_bits\":" + payload + "}]}";
+}
+
+TEST(ServeWire, CacheKeyIsTheParsedValuesNotTheirSpelling) {
+  const auto key = [](const std::string& line) {
+    return serve::cache_key(parse_request_ok(line));
+  };
+  const std::string base = key(one_stream_check("7", "0.05", "1000"));
+  EXPECT_EQ(key(one_stream_check("12345", "0.05", "1000")), base);
+  EXPECT_EQ(key(one_stream_check("7", "5e-2", "1000")), base);
+  EXPECT_EQ(key(one_stream_check("7", "5.0e-2", "1000")), base);
+  EXPECT_EQ(key(one_stream_check("7", "0.05", "1e3")), base);
+
+  // -0 and 0 are different doubles, so different keys (as their shortest
+  // renderings "-0" and "0" always were).
+  EXPECT_NE(key(one_stream_check("7", "0.05", "-0")),
+            key(one_stream_check("7", "0.05", "0")));
+  // Neighbouring doubles never share a key, in any field.
+  for (const double x : {0.05, 1000.0, 50.0, 1e-300, 123456.789}) {
+    const std::string lo = obs::json_number(x);
+    const std::string hi = obs::json_number(
+        std::nextafter(x, std::numeric_limits<double>::infinity()));
+    EXPECT_NE(key(one_stream_check("7", lo, "1000")),
+              key(one_stream_check("7", hi, "1000")))
+        << lo << " vs " << hi;
+    EXPECT_NE(key(one_stream_check("7", "0.05", lo)),
+              key(one_stream_check("7", "0.05", hi)))
+        << lo << " vs " << hi;
+    EXPECT_NE(key(one_stream_check("7", "0.05", "0", lo)),
+              key(one_stream_check("7", "0.05", "0", hi)))
+        << lo << " vs " << hi;
+  }
+  // Types never share a key, even over the same scenario.
+  std::string faultcheck = one_stream_check("7", "0.05", "1000");
+  faultcheck.replace(faultcheck.find("check"), 5, "faultcheck");
+  EXPECT_NE(key(faultcheck), base);
+}
+
+TEST(ServeWire, DeadlineJustBelowTheNanosecondLimitIsAccepted) {
+  // 1.8e13 ms is 1.8e19 ns, inside uint64; 1.9e13 ms is not.
+  const auto ok = parse_request_ok(
+      "{\"type\":\"advise\",\"deadline_ms\":1.8e13}");
+  EXPECT_EQ(ok.deadline_ms, 1.8e13);
+  EXPECT_NE(parse_request_error("{\"type\":\"advise\",\"deadline_ms\":1.9e13}")
+                .find("\"deadline_ms\""),
+            std::string::npos);
+}
+
+/// A numeric field set to a value the wire must refuse: its request line
+/// and the field the 400 has to name.
+struct RefusedNumber {
+  const char* label;
+  const char* field;
+  const char* line;
+};
+
+class ServeWireRefusesNonFinite
+    : public ::testing::TestWithParam<RefusedNumber> {};
+
+TEST_P(ServeWireRefusesNonFinite, With400NamingTheField) {
+  const RefusedNumber& c = GetParam();
+  const std::string error = parse_request_error(c.line);
+  EXPECT_NE(error.find(std::string("\"") + c.field + "\""), std::string::npos)
+      << error;
+  // End to end: a 400 carrying that message, and nothing cached.
+  serve::Engine engine(small_engine_options());
+  const auto doc = parse_ok(engine.handle_line(c.line, "test"));
+  EXPECT_EQ(response_status(doc), 400);
+  EXPECT_EQ(doc.find("error")->as_string(), error);
+  EXPECT_EQ(engine.cache_size(), 0u);
+}
+
+#define TR_STREAM "{\"station\":0,\"period_ms\":50,\"payload_bits\":10000}"
+INSTANTIATE_TEST_SUITE_P(
+    EveryNumericField, ServeWireRefusesNonFinite,
+    ::testing::Values(
+        RefusedNumber{"check_bandwidth", "bandwidth_mbps",
+                      "{\"type\":\"check\",\"bandwidth_mbps\":1e999,"
+                      "\"streams\":[" TR_STREAM "]}"},
+        RefusedNumber{"check_deadline", "deadline_ms",
+                      "{\"type\":\"check\",\"deadline_ms\":1e999,"
+                      "\"streams\":[" TR_STREAM "]}"},
+        RefusedNumber{"check_deadline_ns_overflow", "deadline_ms",
+                      "{\"type\":\"check\",\"deadline_ms\":2e13,"
+                      "\"streams\":[" TR_STREAM "]}"},
+        RefusedNumber{"faultcheck_noise", "noise_ms",
+                      "{\"type\":\"faultcheck\",\"noise_ms\":1e999,"
+                      "\"streams\":[" TR_STREAM "]}"},
+        RefusedNumber{"faultcheck_deadline", "deadline_ms",
+                      "{\"type\":\"faultcheck\",\"deadline_ms\":1e999,"
+                      "\"streams\":[" TR_STREAM "]}"},
+        RefusedNumber{"stream_period", "period_ms",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":1e999,\"payload_bits\":1}]}"},
+        RefusedNumber{"stream_payload", "payload_bits",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":50,\"payload_bits\":1e999}]}"},
+        RefusedNumber{"stream_deadline", "deadline_ms",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":50,\"payload_bits\":1,"
+                      "\"deadline_ms\":1e999}]}"},
+        RefusedNumber{"advise_mean_period", "mean_period_ms",
+                      "{\"type\":\"advise\",\"mean_period_ms\":1e999}"},
+        RefusedNumber{"advise_period_ratio", "period_ratio",
+                      "{\"type\":\"advise\",\"period_ratio\":1e999}"},
+        RefusedNumber{"advise_deadline", "deadline_ms",
+                      "{\"type\":\"advise\",\"deadline_ms\":1e999}"},
+        RefusedNumber{"advise_deadline_ns_overflow", "deadline_ms",
+                      "{\"type\":\"advise\",\"deadline_ms\":1.9e13}"},
+        RefusedNumber{"advise_bandwidths", "bandwidths_mbps",
+                      "{\"type\":\"advise\","
+                      "\"bandwidths_mbps\":[16,1e999]}"}),
+    [](const ::testing::TestParamInfo<RefusedNumber>& info) {
+      return std::string(info.param.label);
+    });
+#undef TR_STREAM
 
 // ---- token bucket / rate limiter ---------------------------------------------
 
