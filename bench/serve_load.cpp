@@ -20,10 +20,9 @@
 //                             server (the 503 shed fast path: parse,
 //                             watermark check, envelope — no compute)
 //   BM_ServeManyConnsReactor  ns per connection to open, serve, and park
-//   BM_ServeManyConnsThreaded --connections mostly-idle peers on each
-//                             front end (the pair the reactor's >= 5x
-//                             per-connection win is gated on; resident
-//                             memory per mode is reported alongside)
+//                             --connections mostly-idle peers; the run
+//                             fails when each adds more resident memory
+//                             than kMaxParkedRssPerConn
 //   BM_ServeWireDecode        ns per line for the reactor's decode
 //                             (parse_json + parse_request + cache_key) of
 //                             check lines of 16..128 streams, in process
@@ -230,21 +229,35 @@ int connect_loopback(int port) {
   return -1;
 }
 
-/// Current resident set size, from /proc/self/status (0 if unreadable).
-std::uint64_t vm_rss_bytes() {
+/// One numeric field of /proc/self/status ("VmRSS:" in kB, "Threads:"),
+/// 0 if unreadable.
+std::uint64_t proc_status_field(const char* field) {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
+  const std::size_t len = std::strlen(field);
   char line[256];
-  std::uint64_t kb = 0;
+  std::uint64_t value = 0;
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtoull(line + 6, nullptr, 10);
+    if (std::strncmp(line, field, len) == 0) {
+      value = std::strtoull(line + len, nullptr, 10);
       break;
     }
   }
   std::fclose(f);
-  return kb * 1024;
+  return value;
 }
+
+std::uint64_t vm_rss_bytes() { return proc_status_field("VmRSS:") * 1024; }
+
+/// Resident memory a parked connection may add to the process, client
+/// and server side together. The reactor's per-connection state (a table
+/// entry, an FSM, timers, an epoll registration) measures ~0.72 KiB on a
+/// 4-vCPU x86-64 Linux host; a thread per connection costs ~25 KiB
+/// (~103 MiB at 4096) and would trip it. Enforced from
+/// kMinConnsForRssBound parked connections up: below that, page
+/// granularity makes the per-connection figure too coarse to gate on.
+constexpr std::uint64_t kMaxParkedRssPerConn = 1024;
+constexpr std::size_t kMinConnsForRssBound = 1024;
 
 /// Lift the soft fd limit toward the hard limit when a run needs more
 /// descriptors than the default soft cap allows (2 per parked connection
@@ -263,8 +276,8 @@ void raise_fd_limit(std::size_t needed) {
 /// before the next wave connects — so connections sitting established but
 /// un-accepted never pile up to the backlog limit, and the kernel never
 /// silently drops SYNs into 1 s retransmit stalls. What the growth time
-/// measures is the server's real per-connection cost: accept, front-end
-/// registration (thread spawn vs epoll add), and one served request.
+/// measures is the server's real per-connection cost: accept, epoll
+/// registration, and one served request.
 class ParkedPool {
  public:
   static constexpr std::size_t kWave = 256;
@@ -376,32 +389,37 @@ class ParkedPool {
 };
 
 /// Open, serve one request, and park `n` connections against a dedicated
-/// server in the given front-end mode; reports the per-connection cost
-/// (accept + front-end registration + one served ping — a thread spawn per
-/// peer for the threaded loop, an epoll add for the reactor) and the
-/// process RSS growth while all `n` sit parked.
+/// server; reports the per-connection cost (accept + epoll registration +
+/// one served ping), the resident memory each connection past the first
+/// quarter adds, and how many threads parking started.
 struct ManyConnsResult {
   bool ok = false;
   double per_conn_ns = 0.0;
-  std::uint64_t rss_delta = 0;
+  double rss_per_conn = 0.0;  // bytes
+  std::int64_t threads_delta = 0;
 };
 
-ManyConnsResult run_many_conns(serve::Server::FrontEnd mode, std::size_t n,
-                               std::size_t jobs) {
+ManyConnsResult run_many_conns(std::size_t n, std::size_t jobs) {
   ManyConnsResult out;
   serve::Server::Options opt;
   opt.engine.jobs = jobs;
-  opt.front_end = mode;
   serve::Server server(opt);
   std::string error;
   if (!server.start(error)) {
     std::fprintf(stderr, "many-conns server: %s\n", error.c_str());
     return out;
   }
+  // The first quarter of the pool pays the one-time costs (allocator
+  // arenas, reactor stacks); the memory figure is what each further
+  // connection adds.
+  const std::size_t first = n / 4;
   ParkedPool pool;
-  const std::uint64_t rss_before = vm_rss_bytes();
+  const std::uint64_t threads_before = proc_status_field("Threads:");
   const std::uint64_t t0 = now_ns();
-  if (!pool.grow(server.port(), n)) {
+  bool parked = pool.grow(server.port(), first);
+  const std::uint64_t rss_first = vm_rss_bytes();
+  parked = parked && pool.grow(server.port(), n);
+  if (!parked) {
     std::fprintf(stderr, "many-conns: failed to park %zu connections\n", n);
     server.request_stop();
     server.wait();
@@ -411,7 +429,14 @@ ManyConnsResult run_many_conns(serve::Server::FrontEnd mode, std::size_t n,
   const std::uint64_t rss_parked = vm_rss_bytes();
   out.per_conn_ns =
       static_cast<double>(t1 - t0) / static_cast<double>(n);
-  out.rss_delta = rss_parked > rss_before ? rss_parked - rss_before : 0;
+  out.rss_per_conn =
+      rss_parked > rss_first
+          ? static_cast<double>(rss_parked - rss_first) /
+                static_cast<double>(n - first)
+          : 0.0;
+  out.threads_delta =
+      static_cast<std::int64_t>(proc_status_field("Threads:")) -
+      static_cast<std::int64_t>(threads_before);
   out.ok = true;
   pool.close_all();
   server.request_stop();
@@ -606,8 +631,8 @@ int main(int argc, char** argv) {
   flags.declare("deadline-ms", "0",
                 "attach this deadline to every hot-set query [ms]; 0 = none");
   flags.declare("connections", "1024",
-                "parked-connection count for the sweep and the "
-                "BM_ServeManyConns pair (0 = skip both)");
+                "parked-connection count for the sweep and "
+                "BM_ServeManyConnsReactor (0 = skip both)");
   obs::RunReport report("serve_load");
   if (auto rc = obs::bootstrap_run(report, flags, argc, argv)) return *rc;
 
@@ -634,6 +659,24 @@ int main(int argc, char** argv) {
   // 2 fds per parked connection (client + server side) plus slack for the
   // servers, clients, and engine plumbing.
   raise_fd_limit(2 * connections + 256);
+
+  // Many-connections run: park N idle peers on a server of their own and
+  // bound the resident memory each adds. First, before the load phases
+  // warm the allocator, so reused free pages cannot hide the growth.
+  ManyConnsResult parked_conns;
+  if (connections > 0) {
+    parked_conns = run_many_conns(connections, get_jobs(flags));
+    if (!parked_conns.ok) return 1;
+    report.note(
+        "%zu parked connections: %.1f us/conn, %.0f bytes resident per "
+        "connection (bound %llu from %zu connections), %lld threads started "
+        "while parking\n",
+        connections, parked_conns.per_conn_ns * 1e-3,
+        parked_conns.rss_per_conn,
+        static_cast<unsigned long long>(kMaxParkedRssPerConn),
+        kMinConnsForRssBound,
+        static_cast<long long>(parked_conns.threads_delta));
+  }
 
   // Deadlines are not part of the cache identity, so warming without one
   // still turns the measured phase into cache hits even when --deadline-ms
@@ -804,34 +847,6 @@ int main(int argc, char** argv) {
         1e9 / overload_ns);
   }
 
-  // Many-connections pair: the same park-N-idle-peers workload against
-  // each front end on its own server. Reactor first, so its RSS delta is
-  // not flattered by allocator pages the threaded phase already faulted
-  // in.
-  ManyConnsResult reactor_conns;
-  ManyConnsResult threaded_conns;
-  if (connections > 0) {
-    reactor_conns = run_many_conns(serve::Server::FrontEnd::kReactor,
-                                   connections, get_jobs(flags));
-    threaded_conns = run_many_conns(serve::Server::FrontEnd::kThreaded,
-                                    connections, get_jobs(flags));
-    if (!reactor_conns.ok || !threaded_conns.ok) return 1;
-    const double rss_ratio =
-        threaded_conns.rss_delta > 0
-            ? static_cast<double>(reactor_conns.rss_delta) /
-                  static_cast<double>(threaded_conns.rss_delta)
-            : 0.0;
-    report.note(
-        "%zu parked connections: reactor %.1f us/conn, %.1f MiB resident; "
-        "threaded %.1f us/conn, %.1f MiB resident (reactor uses %.0f%% of "
-        "threaded memory)\n",
-        connections, reactor_conns.per_conn_ns * 1e-3,
-        static_cast<double>(reactor_conns.rss_delta) / (1024.0 * 1024.0),
-        threaded_conns.per_conn_ns * 1e-3,
-        static_cast<double>(threaded_conns.rss_delta) / (1024.0 * 1024.0),
-        rss_ratio * 100.0);
-  }
-
   std::size_t decoded_lines = 0;
   const double decode_ns = wire_decode_ns(decoded_lines);
   report.note("wire decode (parse_json + parse_request + cache_key, 16..128 "
@@ -855,9 +870,7 @@ int main(int argc, char** argv) {
           latencies.size());
   add_row("BM_ServeOverload", overload_ns, overload_requests);
   if (connections > 0) {
-    add_row("BM_ServeManyConnsReactor", reactor_conns.per_conn_ns,
-            connections);
-    add_row("BM_ServeManyConnsThreaded", threaded_conns.per_conn_ns,
+    add_row("BM_ServeManyConnsReactor", parked_conns.per_conn_ns,
             connections);
     report.record_table("connection_sweep", sweep);
   }
@@ -866,6 +879,16 @@ int main(int argc, char** argv) {
   if (report.verbose()) table.print(std::cout);
   if (report.format() == obs::OutputFormat::kCsv) table.print_csv(std::cout);
 
+  if (connections >= kMinConnsForRssBound &&
+      parked_conns.rss_per_conn >
+          static_cast<double>(kMaxParkedRssPerConn)) {
+    std::fprintf(stderr,
+                 "FAIL: each parked connection added %.0f bytes resident, "
+                 "above the %llu-byte bound\n",
+                 parked_conns.rss_per_conn,
+                 static_cast<unsigned long long>(kMaxParkedRssPerConn));
+    return 1;
+  }
   const double min_qps = flags.get_double("min-qps");
   if (min_qps > 0.0 && qps < min_qps) {
     std::fprintf(stderr, "FAIL: %.0f queries/s below the %.0f floor\n", qps,

@@ -144,7 +144,10 @@ def fd_pressure_phase(tool, connections):
     expect(counters.get("serve.conn.opened", 0) >= connections,
            "stats counts the parked connections")
     gauges = doc["result"].get("gauges", {})
-    expect(gauges.get("serve.reactor.peak_conns", 0) >= connections / 2,
+    # The gauge is the busiest shard's peak; the accept loop deals
+    # connections round-robin, so every shard held its 1/N share.
+    shards = max(1, gauges.get("serve.reactor.count", 1))
+    expect(gauges.get("serve.reactor.peak_conns", 0) >= connections // shards,
            "stats reports the reactor peak-connection gauge")
     sock.close()
 

@@ -3,9 +3,37 @@
 #include <cerrno>
 #include <utility>
 
+#include "tokenring/obs/registry.hpp"
 #include "tokenring/serve/wire.hpp"
 
 namespace tokenring::serve {
+
+void note_connection_end(ConnectionEnd end) {
+  static const obs::Counter idle("serve.conn.idle_timeouts");
+  static const obs::Counter oversized("serve.conn.oversized");
+  static const obs::Counter read_errors("serve.conn.read_errors");
+  static const obs::Counter write_errors("serve.conn.write_errors");
+  static const obs::Counter write_timeouts("serve.conn.write_timeouts");
+  switch (end) {
+    case ConnectionEnd::kIdleTimeout:
+      idle.add();
+      break;
+    case ConnectionEnd::kOversized:
+      oversized.add();
+      break;
+    case ConnectionEnd::kReadError:
+      read_errors.add();
+      break;
+    case ConnectionEnd::kWriteError:
+      write_errors.add();
+      break;
+    case ConnectionEnd::kWriteTimeout:
+      write_timeouts.add();
+      break;
+    case ConnectionEnd::kPeerClosed:
+      break;
+  }
+}
 
 ConnFsm::ConnFsm(ByteIo& io, const ConnectionLimits& limits, std::string peer)
     : io_(io), limits_(limits), peer_(std::move(peer)) {}
@@ -63,8 +91,12 @@ bool ConnFsm::split_lines(const Submit& submit) {
   buffer_.erase(0, start);
 
   // A line that keeps growing without a newline cannot be resynchronized;
-  // answer once and hang up rather than buffering unboundedly.
-  if (buffer_.size() > limits_.max_line) {
+  // answer once and hang up rather than buffering unboundedly. A trailing
+  // '\r' may be the first half of a split "\r\n" and is not content yet,
+  // so the verdict does not depend on where TCP cut the line.
+  const bool pending_cr =
+      buffer_.size() == limits_.max_line + 1 && buffer_.back() == '\r';
+  if (buffer_.size() > limits_.max_line && !pending_cr) {
     begin_oversized();
     return false;
   }
@@ -76,8 +108,7 @@ void ConnFsm::begin_oversized() {
   state_ = State::kDraining;
   end_ = ConnectionEnd::kOversized;
   // The 413 takes a slot like any response, so it is released to the
-  // byte stream only after every earlier pipelined answer — exactly the
-  // order the blocking loop produced.
+  // byte stream only after every earlier pipelined answer.
   const std::uint64_t slot = next_slot_++;
   slots_.push_back(Slot{});
   complete(slot, error_response(
@@ -99,12 +130,14 @@ void ConnFsm::complete(std::uint64_t slot, std::string&& response) {
 }
 
 void ConnFsm::release_ready_prefix() {
-  while (!slots_.empty() && slots_.front().ready) {
-    out_ += slots_.front().response;
+  std::size_t released = 0;
+  for (; released < slots_.size() && slots_[released].ready; ++released) {
+    out_ += slots_[released].response;
     out_.push_back('\n');
-    slots_.pop_front();
-    ++first_slot_;
   }
+  slots_.erase(slots_.begin(),
+               slots_.begin() + static_cast<std::ptrdiff_t>(released));
+  first_slot_ += released;
 }
 
 void ConnFsm::on_writable() {
@@ -137,7 +170,7 @@ void ConnFsm::on_writable() {
 
 void ConnFsm::expire_idle() {
   if (state_ == State::kClosed) return;
-  // Matches the blocking loop: an idle timeout sends nothing.
+  // An idle timeout sends nothing.
   abort_close(ConnectionEnd::kIdleTimeout);
 }
 

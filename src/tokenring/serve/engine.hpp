@@ -14,8 +14,8 @@
 // thousands of connections through here. The batcher job owns a copy of
 // the request and the completion callback: pool threads call `done`, and
 // the reactor posts the response back to the connection's owning shard.
-// handle_line() is a blocking wrapper over the same pipeline for the
-// thread-per-connection front end and the tests.
+// handle_line() is a blocking wrapper over the same pipeline for
+// in-process callers and the tests.
 //
 // Overload policy (see DESIGN.md §4h): a request that cannot be answered
 // usefully is refused as early and as cheaply as possible. Expired
@@ -95,12 +95,12 @@ class Engine {
   /// response line. Never throws: every failure becomes a structured
   /// error response. `fallback_client` is the rate-limit key for requests
   /// without a "client" field (the server passes the peer address).
-  /// Blocking wrapper over handle_line_async — one pipeline, two calling
-  /// conventions.
+  /// Blocking wrapper over handle_line_async for in-process callers and
+  /// tests — one pipeline, two calling conventions.
   std::string handle_line(std::string_view line,
                           const std::string& fallback_client);
 
-  /// Asynchronous form for the reactor front end: the event-loop thread
+  /// Asynchronous form for the reactor: the event-loop thread
   /// runs only the cheap gates (size/parse, ping/stats, deadline
   /// pre-check, load shed, rate limit, ready cache hits) and never blocks;
   /// anything needing compute — including single-flight joins on an

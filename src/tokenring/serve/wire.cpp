@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -124,6 +125,12 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
         if (!read_int(value, "station", 0, station, error)) {
           return at(": " + error);
         }
+        // station + 1 sizes the ring, so both must fit an int.
+        constexpr int kStationLimit = std::numeric_limits<int>::max();
+        if (station >= kStationLimit) {
+          return at(": \"station\" must be < " +
+                    std::to_string(kStationLimit));
+        }
         s.station = static_cast<int>(station);
       } else if (key == "period_ms") {
         if (!read_number(value, "period_ms", 0.0, period_ms, error)) {
@@ -148,10 +155,18 @@ bool parse_streams(const obs::JsonValue& v, msg::MessageSet& out,
     }
     s.period = milliseconds(period_ms);
     s.relative_deadline = milliseconds(deadline_ms);
+    // The remaining SyncStream::validate() rules, refused here with the
+    // field's name: validate()'s own message cites a source file and line,
+    // which is no business of the client. Checked after the unit
+    // conversion, which can round a subnormal period to zero.
+    if (!(s.period > 0.0)) return at(": \"period_ms\" must be > 0");
+    if (s.relative_deadline > s.period) {
+      return at(": \"deadline_ms\" must not exceed \"period_ms\"");
+    }
     try {
-      s.validate();
-    } catch (const PreconditionError& e) {
-      return at(std::string(": ") + e.what());
+      s.validate();  // a rule added there later is refused, not thrown
+    } catch (const PreconditionError&) {
+      return at(" is not a valid stream");
     }
     out.add(s);
   }

@@ -9,7 +9,9 @@
 //  * cache_key is deterministic for the parsed request (computed twice,
 //    compared), since a flaky key would split or poison the result cache;
 //  * a request that parses carries only finite doubles (a 1e999 that
-//    reads as +inf must be refused, not computed or cached).
+//    reads as +inf must be refused, not computed or cached);
+//  * a refusal never carries a precondition's text, which cites the
+//    server's source path and line.
 //
 // No schedulability compute runs here: the target covers exactly the
 // bytes-to-structured-refusal surface, which is what hostile input can
@@ -80,5 +82,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     __builtin_trap();
   }
   if (ok && !all_finite(request)) __builtin_trap();
+  if (!ok && (error.find("precondition failed") != std::string::npos ||
+              error.find(".cpp:") != std::string::npos)) {
+    __builtin_trap();
+  }
   return 0;
 }

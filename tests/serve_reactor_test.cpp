@@ -1,8 +1,8 @@
 // Integration tests for the sharded epoll reactor front end: the timer
-// wheel that carries its deadlines, golden equivalence against the
-// thread-per-connection reference over real sockets, graceful drain with
-// a hundred-plus parked connections, and the many-connections smoke the
-// front end exists for.
+// wheel that carries its deadlines, golden byte streams recorded from the
+// retired thread-per-connection server (serve_fixtures.hpp) replayed over
+// real sockets, graceful drain with a hundred-plus parked connections, and
+// the many-connections smoke the front end exists for.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "serve_fixtures.hpp"
 #include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/serve/server.hpp"
@@ -174,14 +175,12 @@ std::vector<std::string> read_lines(int fd, std::size_t expected) {
 
 /// Run one scripted conversation (send everything, read until EOF) and
 /// return every response line the server produced.
-std::vector<std::string> converse(serve::Server::FrontEnd mode,
-                                  const std::string& script,
+std::vector<std::string> converse(const std::string& script,
                                   std::size_t expected,
                                   std::size_t max_request_bytes = 1 << 20) {
   serve::Server::Options options;
   options.engine.jobs = 2;
   options.engine.max_request_bytes = max_request_bytes;
-  options.front_end = mode;
   options.reactors = 2;
   serve::Server server(options);
   std::string error;
@@ -199,44 +198,54 @@ std::vector<std::string> converse(serve::Server::FrontEnd mode,
   return lines;
 }
 
-// ---- reactor vs threaded goldens ---------------------------------------
+/// Every line of `text` (each terminated by '\n').
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  for (std::size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  return lines;
+}
 
-TEST(ServeReactor, MixedScriptMatchesThreadedFrontEndByteForByte) {
+// ---- goldens recorded from the thread-per-connection server ------------
+
+TEST(ServeReactor, MixedScriptMatchesThreadedGoldenByteForByte) {
   // Pipelined pings, a real compute query, a malformed line, an empty
   // line, and a CRLF line: the reactor must produce exactly the byte
-  // stream the thread-per-connection reference does.
-  std::string script;
-  for (int i = 0; i < 8; ++i) {
-    script += "{\"type\":\"ping\",\"id\":" + std::to_string(i) + "}\n";
+  // stream the thread-per-connection reference recorded. The fixture
+  // pins framing, order and refusals; the check verdict itself comes from
+  // a fresh Engine, so a change to verdict content is not a framing bug.
+  const auto golden = test::serve_fixture("server_mixed_script");
+  std::vector<std::string> expected = lines_of(golden.response);
+  ASSERT_EQ(expected.size(), 11u);
+  serve::Engine::Options engine_options;
+  engine_options.jobs = 1;
+  serve::Engine engine(engine_options);
+  std::size_t answered = 0;
+  for (std::string line : lines_of(golden.request)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (line.find("\"type\":\"check\"") != std::string::npos) {
+      expected[answered] = engine.handle_line(line, "127.0.0.1");
+    }
+    ++answered;
   }
-  script +=
-      "{\"type\":\"check\",\"id\":\"q\",\"protocol\":\"fddi\","
-      "\"bandwidth_mbps\":100,\"streams\":[{\"station\":0,"
-      "\"period_ms\":50,\"payload_bits\":10000}]}\n";
-  script += "{oops\n";
-  script += "\n";
-  script += "{\"type\":\"ping\",\"id\":\"crlf\"}\r\n";
+  ASSERT_EQ(answered, expected.size());
 
-  const auto reactor =
-      converse(serve::Server::FrontEnd::kReactor, script, 11);
-  const auto threaded =
-      converse(serve::Server::FrontEnd::kThreaded, script, 11);
-  ASSERT_EQ(reactor.size(), 11u);
-  EXPECT_EQ(reactor, threaded);
+  const auto reactor = converse(golden.request, expected.size());
+  ASSERT_EQ(reactor.size(), expected.size());
+  EXPECT_EQ(reactor, expected);
 }
 
 TEST(ServeReactor, OversizedLineMatchesThreaded413Golden) {
-  const std::string script = "{\"type\":\"ping\",\"id\":1}\n" +
-                             std::string(300, 'x') + "\n" +
-                             "{\"type\":\"ping\",\"id\":\"never\"}\n";
-  const auto reactor =
-      converse(serve::Server::FrontEnd::kReactor, script, 3, 64);
-  const auto threaded =
-      converse(serve::Server::FrontEnd::kThreaded, script, 3, 64);
+  const auto golden = test::serve_fixture("server_oversized_max64");
+  const auto reactor = converse(golden.request, 3, 64);
   // The ping is answered, the 413 follows it, the post-413 ping is not
-  // served — on both front ends, byte for byte.
+  // served — byte for byte what the reference answered.
   ASSERT_EQ(reactor.size(), 2u);
-  EXPECT_EQ(reactor, threaded);
+  EXPECT_EQ(reactor, lines_of(golden.response));
   EXPECT_NE(reactor[1].find("413"), std::string::npos);
 }
 

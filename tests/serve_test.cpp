@@ -215,21 +215,59 @@ struct RefusedNumber {
   const char* line;
 };
 
-class ServeWireRefusesNonFinite
-    : public ::testing::TestWithParam<RefusedNumber> {};
-
-TEST_P(ServeWireRefusesNonFinite, With400NamingTheField) {
-  const RefusedNumber& c = GetParam();
+/// The refusal names the field, tells the client nothing about the
+/// server's build (no precondition text, no source path), and reaches the
+/// client as a 400 with nothing cached.
+void expect_400_naming_the_field(const RefusedNumber& c) {
   const std::string error = parse_request_error(c.line);
   EXPECT_NE(error.find(std::string("\"") + c.field + "\""), std::string::npos)
       << error;
-  // End to end: a 400 carrying that message, and nothing cached.
+  EXPECT_EQ(error.find("precondition failed"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".cpp:"), std::string::npos) << error;
   serve::Engine engine(small_engine_options());
   const auto doc = parse_ok(engine.handle_line(c.line, "test"));
   EXPECT_EQ(response_status(doc), 400);
   EXPECT_EQ(doc.find("error")->as_string(), error);
   EXPECT_EQ(engine.cache_size(), 0u);
 }
+
+class ServeWireRefusesNonFinite
+    : public ::testing::TestWithParam<RefusedNumber> {};
+
+TEST_P(ServeWireRefusesNonFinite, With400NamingTheField) {
+  expect_400_naming_the_field(GetParam());
+}
+
+/// Finite values outside a stream's domain (SyncStream::validate()).
+class ServeWireRefusesOutOfDomain
+    : public ::testing::TestWithParam<RefusedNumber> {};
+
+TEST_P(ServeWireRefusesOutOfDomain, With400NamingTheField) {
+  expect_400_naming_the_field(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StreamField, ServeWireRefusesOutOfDomain,
+    ::testing::Values(
+        RefusedNumber{"zero_period", "period_ms",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":0,\"payload_bits\":1}]}"},
+        RefusedNumber{"period_rounding_to_zero", "period_ms",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":5e-324,\"payload_bits\":1}]}"},
+        RefusedNumber{"deadline_above_period", "deadline_ms",
+                      "{\"type\":\"faultcheck\",\"streams\":[{\"station\":0,"
+                      "\"period_ms\":50,\"payload_bits\":1,"
+                      "\"deadline_ms\":60}]}"},
+        RefusedNumber{"station_wrapping_negative", "station",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":"
+                      "4294967295,\"period_ms\":50,\"payload_bits\":1}]}"},
+        RefusedNumber{"station_overflowing_ring_size", "station",
+                      "{\"type\":\"check\",\"streams\":[{\"station\":"
+                      "2147483647,\"period_ms\":50,\"payload_bits\":1}]}"}),
+    [](const ::testing::TestParamInfo<RefusedNumber>& info) {
+      return std::string(info.param.label);
+    });
 
 #define TR_STREAM "{\"station\":0,\"period_ms\":50,\"payload_bits\":10000}"
 INSTANTIATE_TEST_SUITE_P(

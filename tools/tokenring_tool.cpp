@@ -467,9 +467,6 @@ void flags_serve(CliFlags& flags) {
                 "drop connections silent for this long (0 = never)");
   flags.declare("write-timeout-ms", "10000",
                 "drop connections that stop reading responses (0 = never)");
-  flags.declare("front-end", "reactor",
-                "connection front end: reactor (sharded epoll) or threaded "
-                "(one thread per connection)");
   flags.declare("reactors", "0",
                 "reactor shards (0 = one per available core)");
   flags.declare("backlog", "1024", "listen(2) backlog");
@@ -503,16 +500,6 @@ int cmd_serve(const CliFlags& flags, obs::RunReport& report) {
   opt.write_timeout_ms = static_cast<int>(flags.get_int("write-timeout-ms"));
   opt.backlog = static_cast<int>(flags.get_int("backlog"));
   opt.reactors = static_cast<std::size_t>(flags.get_int("reactors"));
-  const std::string front_end = flags.get_string("front-end");
-  if (front_end == "reactor") {
-    opt.front_end = serve::Server::FrontEnd::kReactor;
-  } else if (front_end == "threaded") {
-    opt.front_end = serve::Server::FrontEnd::kThreaded;
-  } else {
-    std::fprintf(stderr, "unknown --front-end '%s' (reactor|threaded)\n",
-                 front_end.c_str());
-    return 1;
-  }
 
   serve::Server server(opt);
   std::string error;
