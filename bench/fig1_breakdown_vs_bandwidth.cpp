@@ -39,6 +39,14 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = get_jobs(flags);
   config.bandwidths_mbps = parse_double_list(flags.get_string("bandwidths-mbps"));
+  if (config.bandwidths_mbps.size() < 2) {
+    // The observations below compare rows, so check before the sweep runs.
+    std::fprintf(stderr,
+                 "flag --bandwidths-mbps needs at least two bandwidths, "
+                 "got %zu\n",
+                 config.bandwidths_mbps.size());
+    return 1;
+  }
 
   report.note(
       "# Figure 1 reproduction: average breakdown utilization vs bandwidth\n"

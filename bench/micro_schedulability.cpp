@@ -105,16 +105,32 @@ void BM_PdpAugmentedLength(benchmark::State& state) {
 }
 BENCHMARK(BM_PdpAugmentedLength);
 
+// Reference saturation search: every probe scales `base` into one buffer
+// and runs the plain criterion on the scaled copy — what the scale kernels
+// below replace. `criterion` maps a message set to a verdict.
+template <typename Criterion>
+double reference_saturation(const msg::MessageSet& base, BitsPerSecond bw,
+                            const Criterion& criterion) {
+  msg::MessageSet buffer;
+  const breakdown::ScaleKernel kernel = [&](double scale) {
+    base.scaled_into(scale, buffer);
+    return criterion(buffer);
+  };
+  return breakdown::find_saturation_scaled(base, kernel, bw)
+      .breakdown_utilization;
+}
+
 void BM_SaturationSearchPdp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto setup = setup_for(n);
   const BitsPerSecond bw = mbps(16);
-  const auto predicate =
-      setup.pdp_predicate(analysis::PdpVariant::kModified8025, bw);
+  const auto params = setup.pdp_params(analysis::PdpVariant::kModified8025);
   const auto base = make_set(n, 3, 1.0);
+  const auto criterion = [&](const msg::MessageSet& m) {
+    return analysis::pdp_feasible(m, params, bw);
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        breakdown::find_saturation(base, predicate, bw).breakdown_utilization);
+    benchmark::DoNotOptimize(reference_saturation(base, bw, criterion));
   }
 }
 BENCHMARK(BM_SaturationSearchPdp)->Arg(10)->Arg(100);
@@ -123,17 +139,19 @@ void BM_SaturationSearchTtp(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto setup = setup_for(n);
   const BitsPerSecond bw = mbps(100);
-  const auto predicate = setup.ttp_predicate(bw);
+  const auto params = setup.ttp_params();
   const auto base = make_set(n, 3, 1.0);
+  const auto criterion = [&](const msg::MessageSet& m) {
+    return analysis::ttp_feasible(m, params, bw);
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        breakdown::find_saturation(base, predicate, bw).breakdown_utilization);
+    benchmark::DoNotOptimize(reference_saturation(base, bw, criterion));
   }
 }
 BENCHMARK(BM_SaturationSearchTtp)->Arg(10)->Arg(100)->Arg(1000);
 
 // Kernel-path saturation searches: identical probe sequence and result to
-// the predicate pairs above (pinned by tests), but the scale-invariant work
+// the reference pairs above (pinned by tests), but the scale-invariant work
 // is hoisted out of the probe loop and no probe allocates.
 void BM_SaturationSearchPdpKernel(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -220,7 +238,7 @@ BENCHMARK(BM_SaturationScalarTtp)->Arg(8)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 // Allocation cost of one payload scaling: fresh copy vs reuse of one
-// workspace buffer (what every saturation probe used to pay vs pays now).
+// buffer (the reuse is what each reference-search probe above pays).
 void BM_ScaledCopy(benchmark::State& state) {
   const auto base = make_set(static_cast<int>(state.range(0)), 3, 1.0);
   for (auto _ : state) {
@@ -268,6 +286,8 @@ void BM_RtaScreened(benchmark::State& state) {
 }
 BENCHMARK(BM_RtaScreened)->Arg(100);
 
+// The paper-faithful scheduling-point test (Theorem 4.1 as printed) on the
+// same task list; its production counterpart is BM_RtaScreened above.
 void BM_LsdExact(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto params =
@@ -281,19 +301,6 @@ void BM_LsdExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LsdExact)->Arg(100);
-
-void BM_LsdIncremental(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto params =
-      setup_for(n).pdp_params(analysis::PdpVariant::kStandard8025);
-  const BitsPerSecond bw = mbps(16);
-  const auto tasks = analysis::pdp_tasks(make_set(n, 1, 20.0), params, bw);
-  const Seconds blocking = analysis::pdp_blocking(params, bw);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::lsd_feasible_fast(tasks, blocking));
-  }
-}
-BENCHMARK(BM_LsdIncremental)->Arg(100);
 
 void BM_PdpSimulation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,9 +1,10 @@
 // Parallel-scaling benchmark for the exec/ Monte Carlo engine.
 //
-// Runs the Figure-1 workload (TTP breakdown estimation at one bandwidth)
-// at jobs in {1, 2, 4, 8}, reports trials/sec and speedup over the
-// sequential run, and checks that every jobs count reproduces the exact
-// sequential mean — the bit-identity contract of the seed-stream design.
+// Runs the Figure-1 workload's dominant path (modified-802.5 PDP breakdown
+// estimation through its scale-kernel factory, at one bandwidth) at jobs
+// in {1, 2, 4, 8}, reports trials/sec and speedup over the sequential
+// run, and checks that every jobs count reproduces the exact sequential
+// mean — the bit-identity contract of the seed-stream design.
 // The last line of output is a single JSON record for machine consumption.
 
 #include <chrono>
@@ -40,12 +41,15 @@ int main(int argc, char** argv) {
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
 
   msg::MessageSetGenerator gen(setup.generator_config());
-  const auto predicate = setup.ttp_predicate(bw);
+  const auto factory =
+      setup.pdp_kernel_factory(analysis::PdpVariant::kModified8025, bw);
   breakdown::MonteCarloOptions options;
   options.num_sets = sets;
 
-  report.note("# Parallel scaling: TTP breakdown estimation, %zu sets, n=%d\n",
-              sets, setup.num_stations);
+  report.note(
+      "# Parallel scaling: modified-802.5 PDP breakdown estimation, %zu sets, "
+      "n=%d\n",
+      sets, setup.num_stations);
   report.note("# hardware concurrency: %zu\n\n", exec::default_jobs());
 
   struct Row {
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
     const exec::Executor executor(jobs);
     const auto t0 = std::chrono::steady_clock::now();
     const auto est = breakdown::estimate_breakdown_utilization(
-        gen, predicate, bw, seed, executor, options);
+        gen, factory, bw, seed, executor, options);
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds = std::chrono::duration<double>(t1 - t0).count();
     if (rows.empty()) {

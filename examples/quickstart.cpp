@@ -44,7 +44,10 @@ int main(int argc, char** argv) {
   CliFlags flags;
   flags.declare("bandwidth-mbps", "16", "link bandwidth in Mbit/s");
   flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  if (!flags.parse(argc, argv)) return 1;
+  if (const auto parsed = flags.parse_detailed(argc, argv);
+      parsed != CliFlags::ParseOutcome::kOk) {
+    return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
+  }
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
 
   msg::MessageSet set;

@@ -23,8 +23,14 @@ Two gates:
 2. Pair gate. The bench suite contains reference/fast pairs measured in the
    same run (same machine, same load), so their ratio is machine
    independent. Each fast variant must beat its reference by the factor
-   listed in PAIRS; this pins the point of the PR — the kernel path being
-   faster than the predicate path — not just the absence of regressions.
+   listed in PAIRS; this pins the point of each fast path — e.g. a scale
+   kernel beating a search over scaled copies — not just the absence of
+   regressions.
+
+Before either gate, every --current manifest must come from a build of the
+same CMAKE_BUILD_TYPE as the baseline (the manifests' "build_type" field; a
+manifest without it counts as Release): a RelWithDebInfo build fails rows of
+a Release baseline that no code change touched.
 
 Exit code 0 when both gates pass, 1 otherwise. Stdlib only.
 """
@@ -44,7 +50,6 @@ PAIRS = [
     ("BM_SaturationSearchPdpKernel", "BM_SaturationSearchPdp", 1.5),
     ("BM_SaturationSearchTtpKernel", "BM_SaturationSearchTtp", 1.5),
     ("BM_RtaScreened", "BM_RtaExact", 2.0),
-    ("BM_LsdIncremental", "BM_LsdExact", 2.0),
     ("BM_ScaledInto", "BM_ScaledCopy", 1.0),
     # Frontier vs eager event engine on the same sparse large-ring scenario
     # (bench/sim_scaling.cpp); metrics are pinned bit-identical by
@@ -54,6 +59,9 @@ PAIRS = [
 ]
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Manifests written before the field existed were all Release builds.
+DEFAULT_BUILD_TYPE = "Release"
 
 # Per-benchmark-prefix override of --max-regression. The serve_load rows
 # are loopback TCP measurements: closed-loop queueing latency percentiles
@@ -95,6 +103,26 @@ def load_timings(path):
     if not timings:
         sys.exit(f"error: {path}: 'benchmarks' table is empty")
     return timings
+
+
+def build_type_of(path):
+    with open(path) as f:
+        return json.load(f).get("build_type", DEFAULT_BUILD_TYPE)
+
+
+def check_build_types(baseline_path, current_paths):
+    """Every current manifest must match the baseline's build type."""
+    expected = build_type_of(baseline_path)
+    ok = True
+    for path in current_paths:
+        actual = build_type_of(path)
+        if actual != expected:
+            print(f"FAIL: {path}: build_type {actual!r} but the baseline was "
+                  f"recorded from a {expected!r} build; timings are not "
+                  f"comparable. Reconfigure with "
+                  f"-DCMAKE_BUILD_TYPE={expected} and rerun the benches.")
+            ok = False
+    return ok
 
 
 def load_all_timings(paths):
@@ -214,6 +242,9 @@ def main():
     if args.update:
         return update_baseline(args.baseline, args.current)
 
+    if not check_build_types(args.baseline, args.current):
+        print("perf baseline check: FAIL")
+        return 1
     baseline = load_timings(args.baseline)
     current = load_all_timings(args.current)
 

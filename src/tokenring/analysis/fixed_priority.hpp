@@ -171,16 +171,6 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
                        std::span<const Seconds> seeds = {},
                        std::span<Seconds> response_times = {});
 
-/// Boolean scheduling-point verdict with the same screens as
-/// `rta_feasible_fast` plus an incremental point walk: per-task point
-/// lists are sorted and deduplicated once, and the workload is updated in
-/// O(1) per point (each point bumps exactly its own stream's ceil term)
-/// instead of recomputed in O(i). The incremental sum associates additions
-/// in point order rather than task order, so workload values can differ
-/// from the reference by ulps; verdicts agree except on exact
-/// workload == t ties (measure zero, pinned by the differential test).
-bool lsd_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking);
-
 /// Liu-Layland utilization bound n*(2^{1/n} - 1): a *sufficient* condition
 /// on sum(cost/period) for schedulability with zero blocking. Provided for
 /// context in examples/benches. Requires n >= 1.

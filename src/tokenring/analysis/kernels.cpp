@@ -30,7 +30,7 @@ bool PdpScaleKernel::operator()(double scale) const {
   // Augmented lengths depend on the scaled payload through the frame
   // count, so they are recomputed per probe — but on a stack-local stream,
   // with the same multiply `scaled()` performs, feeding the same
-  // `pdp_augmented_length` the predicate path uses: costs are bitwise
+  // `pdp_augmented_length` that `pdp_feasible` uses: costs are bitwise
   // equal to the reference's.
   for (std::size_t i = 0; i < sorted_.size(); ++i) {
     msg::SyncStream s = sorted_[i];

@@ -1,8 +1,8 @@
 // Allocation-free schedulability kernels in scale space.
 //
 // A saturation search (breakdown/saturation.hpp) probes one base message
-// set at ~40-60 scale factors per trial. The plain predicates re-derive
-// everything from the scaled set on every probe: copy the streams, sort
+// set at ~40-60 scale factors per trial. The plain criteria
+// (pdp_feasible, ttp_feasible) re-derive everything from a scaled set: copy the streams, sort
 // them, re-select the TTRT, recompute blocking. All of that is invariant
 // under uniform payload scaling — periods, deadlines, the priority
 // permutation, Theta, frame geometry, TTRT bids, per-station visit counts
@@ -11,15 +11,16 @@
 // (once per trial) and leave only the genuinely scale-dependent arithmetic
 // in operator() — no allocation, no sort, no sqrt in the probe loop.
 //
-// Contract: kernel(a) returns the same verdict as the predicate it
+// Contract: kernel(a) returns the same verdict as the criterion it
 // replaces evaluated on base.scaled(a), for every a. The scale-dependent
 // arithmetic replays the reference implementations operation for
 // operation (same multiplies, same divides, same accumulation order), the
 // screens in rta_feasible_fast are margin-guarded exact conditions, and
 // the PDP kernel's warm-started fixpoints land on the cold ones bit for
 // bit, so bisection trajectories — and Monte Carlo breakdown utilizations
-// — are bit-identical to the predicate path. The differential property
-// tests and the kernel-vs-predicate saturation tests pin this.
+// — are bit-identical to a search over scaled copies. The differential
+// property tests and the kernel-vs-reference saturation tests
+// (tests/reference_search.hpp) pin this.
 
 #pragma once
 

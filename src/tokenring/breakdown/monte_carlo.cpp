@@ -25,6 +25,21 @@ void count_trial(const SaturationResult& sat) {
   }
 }
 
+// Classify one saturated draw into the estimate.
+void accumulate_trial(const SaturationResult& sat, bool keep_samples,
+                      BreakdownEstimate& est) {
+  if (sat.degenerate_zero) {
+    ++est.degenerate_sets;
+    est.utilization.add(0.0);
+    if (keep_samples) est.samples.push_back(0.0);
+  } else if (!sat.found) {
+    ++est.unbounded_sets;  // pathological; excluded from the average
+  } else {
+    est.utilization.add(sat.breakdown_utilization);
+    if (keep_samples) est.samples.push_back(sat.breakdown_utilization);
+  }
+}
+
 }  // namespace
 
 double BreakdownEstimate::quantile(double q) const {
@@ -47,66 +62,12 @@ void BreakdownEstimate::merge(const BreakdownEstimate& other) {
   samples.insert(samples.end(), other.samples.begin(), other.samples.end());
 }
 
-namespace {
-
-// Classify one saturated draw into the estimate. Shared by both entry
-// points so their per-trial semantics cannot drift apart.
-void accumulate_trial(const SaturationResult& sat, bool keep_samples,
-                      BreakdownEstimate& est) {
-  if (sat.degenerate_zero) {
-    ++est.degenerate_sets;
-    est.utilization.add(0.0);
-    if (keep_samples) est.samples.push_back(0.0);
-  } else if (!sat.found) {
-    ++est.unbounded_sets;  // pathological; excluded from the average
-  } else {
-    est.utilization.add(sat.breakdown_utilization);
-    if (keep_samples) est.samples.push_back(sat.breakdown_utilization);
-  }
-}
-
-// Saturate one drawn base set; both trial styles (predicate / kernel
-// factory) funnel through this signature so the estimator loops are shared.
-using SaturateTrial =
-    std::function<SaturationResult(const msg::MessageSet& base)>;
-
-SaturateTrial saturate_with_predicate(const SchedulablePredicate& predicate,
-                                      BitsPerSecond bw,
-                                      const SaturationOptions& options) {
-  return [&predicate, bw, &options](const msg::MessageSet& base) {
-    return find_saturation(base, predicate, bw, options);
-  };
-}
-
-SaturateTrial saturate_with_factory(const ScaleKernelFactory& factory,
-                                    BitsPerSecond bw,
-                                    const SaturationOptions& options) {
-  return [&factory, bw, &options](const msg::MessageSet& base) {
-    const ScaleKernel kernel = factory(base);
-    return find_saturation_scaled(base, kernel, bw, options);
-  };
-}
-
-BreakdownEstimate estimate_sequential(const msg::MessageSetGenerator& generator,
-                                      const SaturateTrial& saturate, Rng& rng,
-                                      const MonteCarloOptions& options) {
-  TR_EXPECTS(options.num_sets >= 1);
-
-  BreakdownEstimate est;
-  for (std::size_t i = 0; i < options.num_sets; ++i) {
-    const msg::MessageSet base = generator.generate(rng);
-    const SaturationResult sat = saturate(base);
-    count_trial(sat);
-    accumulate_trial(sat, options.keep_samples, est);
-  }
-  return est;
-}
-
-BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
-                                    const SaturateTrial& saturate,
-                                    std::uint64_t master_seed,
-                                    const exec::Executor& executor,
-                                    const MonteCarloOptions& options) {
+BreakdownEstimate estimate_breakdown_utilization(
+    const msg::MessageSetGenerator& generator,
+    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
+    std::uint64_t master_seed, const exec::Executor& executor,
+    const MonteCarloOptions& options) {
+  TR_EXPECTS(bw > 0.0);
   TR_EXPECTS(options.num_sets >= 1);
   TR_EXPECTS(options.shard_size >= 1);
 
@@ -125,7 +86,8 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
     for (std::size_t i = lo; i < hi; ++i) {
       Rng rng = exec::make_trial_rng(master_seed, i);
       const msg::MessageSet base = generator.generate(rng);
-      const SaturationResult sat = saturate(base);
+      const SaturationResult sat = find_saturation_scaled(
+          base, kernel_factory(base), bw, options.saturation);
       count_trial(sat);
       accumulate_trial(sat, options.keep_samples, part);
     }
@@ -150,50 +112,6 @@ BreakdownEstimate estimate_parallel(const msg::MessageSetGenerator& generator,
         return acc;
       },
       pf);
-}
-
-}  // namespace
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_sequential(
-      generator, saturate_with_predicate(predicate, bw, options.saturation),
-      rng, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_parallel(
-      generator, saturate_with_predicate(predicate, bw, options.saturation),
-      master_seed, executor, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_sequential(
-      generator, saturate_with_factory(kernel_factory, bw, options.saturation),
-      rng, options);
-}
-
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options) {
-  TR_EXPECTS(bw > 0.0);
-  return estimate_parallel(
-      generator, saturate_with_factory(kernel_factory, bw, options.saturation),
-      master_seed, executor, options);
 }
 
 }  // namespace tokenring::breakdown

@@ -9,15 +9,11 @@
 // zero (fixed overheads alone exceed capacity) count as samples of 0, so
 // low-bandwidth regimes are reported honestly rather than skipped.
 //
-// Two entry points:
-//  * the seeded overload is the production path: trials are independent
-//    (trial i draws from its own SplitMix64-derived stream, see
-//    exec/seed_stream.hpp) and run on an `exec::Executor`, in fixed-size
-//    shards merged in trial order. The result is bit-identical for any
-//    jobs count, including the inline jobs == 1 path.
-//  * the `Rng&` overload is the original strictly sequential estimator
-//    where all trials consume one shared stream; it is kept for callers
-//    that thread their own engine through (and for its tests).
+// Trials are independent: trial i draws from its own SplitMix64-derived
+// stream (exec/seed_stream.hpp), builds one ScaleKernel for its set and
+// bisects in scale space. Trials run on an `exec::Executor` in fixed-size
+// shards merged in trial order, so the result is bit-identical for any
+// jobs count, including the inline jobs == 1 path.
 
 #pragma once
 
@@ -28,7 +24,6 @@
 #include <vector>
 
 #include "tokenring/breakdown/saturation.hpp"
-#include "tokenring/common/rng.hpp"
 #include "tokenring/common/stats.hpp"
 #include "tokenring/exec/executor.hpp"
 #include "tokenring/msg/generator.hpp"
@@ -43,17 +38,17 @@ struct MonteCarloOptions {
   bool keep_samples = false;
   /// Boundary-search options shared by all samples.
   SaturationOptions saturation;
-  /// Trials per work shard for the parallel path (>= 1). Part of the
-  /// result's definition, NOT a tuning knob tied to the worker count:
-  /// shard boundaries fix the merge tree, so two runs agree bit-for-bit
-  /// only if they use the same shard_size. The default balances scheduling
-  /// overhead against load balance for typical trial costs.
+  /// Trials per work shard (>= 1). Part of the result's definition, NOT a
+  /// tuning knob tied to the worker count: shard boundaries fix the merge
+  /// tree, so two runs agree bit-for-bit only if they use the same
+  /// shard_size. The default balances scheduling overhead against load
+  /// balance for typical trial costs.
   std::size_t shard_size = 8;
-  /// Optional progress hook for the parallel path, called as
-  /// (trials_done_upper_bound, num_sets) whenever a shard completes.
+  /// Optional progress hook, called as (trials_done_upper_bound, num_sets)
+  /// whenever a shard completes.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Optional cooperative cancellation for the parallel path; when the
-  /// token fires the estimator throws `exec::Cancelled`.
+  /// Optional cooperative cancellation; when the token fires the estimator
+  /// throws `exec::Cancelled`.
   std::optional<exec::CancellationToken> cancel;
 };
 
@@ -64,13 +59,13 @@ struct BreakdownEstimate {
   /// How many draws were degenerate (breakdown = 0).
   std::size_t degenerate_sets = 0;
   /// How many draws never became unschedulable within the scale bound
-  /// (predicate vacuously true; excluded from `utilization`).
+  /// (kernel vacuously true; excluded from `utilization`).
   std::size_t unbounded_sets = 0;
   /// Raw per-set samples; populated only with keep_samples. Ordering
   /// guarantee: samples appear in trial-index order (NOT sorted by value)
-  /// under both the sequential and the parallel estimator, for every jobs
-  /// count — shards are merged in trial order. Unbounded draws contribute
-  /// no sample, so samples.size() == utilization.count() always holds.
+  /// for every jobs count — shards are merged in trial order. Unbounded
+  /// draws contribute no sample, so samples.size() == utilization.count()
+  /// always holds.
   std::vector<double> samples;
 
   double mean() const { return utilization.mean(); }
@@ -82,39 +77,17 @@ struct BreakdownEstimate {
   /// Fold `other` (the trials immediately following this shard's) into
   /// this estimate: merges the running stats, adds the degenerate /
   /// unbounded counts, and appends the kept samples, preserving trial
-  /// order. The parallel estimator's reducer.
+  /// order. The estimator's reducer.
   void merge(const BreakdownEstimate& other);
 };
 
-/// Run the estimator sequentially: draws sets from `generator` using the
-/// single shared stream `rng`, saturates each against `predicate` (see
-/// saturation.hpp for the monotonicity requirement), and aggregates.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options = {});
-
 /// Run the estimator on `executor` with deterministic per-trial seed
-/// streams derived from (master_seed, trial index). Bit-identical across
-/// jobs counts; `--jobs 1` (an Executor with jobs == 1) runs inline with
-/// no thread-pool involvement.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const SchedulablePredicate& predicate, BitsPerSecond bw,
-    std::uint64_t master_seed, const exec::Executor& executor,
-    const MonteCarloOptions& options = {});
-
-/// Kernel-factory forms: each trial builds one ScaleKernel for its drawn
-/// set (hoisting the scale-invariant work once) and bisects in scale space
-/// with no per-probe allocation. A factory whose kernels agree with a
-/// predicate yields bit-identical estimates to the predicate overloads —
-/// the probe sequence depends only on the verdicts. The factory is shared
-/// across worker threads and must be const-callable and thread-safe.
-BreakdownEstimate estimate_breakdown_utilization(
-    const msg::MessageSetGenerator& generator,
-    const ScaleKernelFactory& kernel_factory, BitsPerSecond bw, Rng& rng,
-    const MonteCarloOptions& options = {});
-
+/// streams derived from (master_seed, trial index). Each trial builds one
+/// ScaleKernel for its drawn set (hoisting the scale-invariant work once)
+/// and bisects in scale space (saturation.hpp states the monotonicity
+/// requirement). The factory is shared across worker threads and must be
+/// const-callable and thread-safe. Bit-identical across jobs counts; an
+/// Executor with jobs == 1 runs inline with no thread-pool involvement.
 BreakdownEstimate estimate_breakdown_utilization(
     const msg::MessageSetGenerator& generator,
     const ScaleKernelFactory& kernel_factory, BitsPerSecond bw,

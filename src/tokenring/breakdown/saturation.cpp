@@ -29,14 +29,6 @@ void count_evals(std::int64_t evals) {
 
 }  // namespace
 
-ScaleKernel kernel_over_workspace(const msg::MessageSet& base,
-                                  const SchedulablePredicate& predicate,
-                                  ScaledWorkspace& workspace) {
-  return [&base, &predicate, &workspace](double factor) {
-    return predicate(workspace.at_scale(base, factor));
-  };
-}
-
 SaturationResult find_saturation_scaled(const msg::MessageSet& base,
                                         const ScaleKernel& kernel,
                                         BitsPerSecond bw,
@@ -76,7 +68,7 @@ SaturationResult find_saturation_scaled(const msg::MessageSet& base,
       lo = hi;
       hi *= 2.0;
       if (hi > options.max_scale) {
-        // Predicate never fails within bounds: report the bracket edge.
+        // The kernel never fails within bounds: report the bracket edge.
         res.found = false;
         res.critical_scale = lo;
         res.breakdown_utilization = scaled_utilization(base, lo, bw);
@@ -100,7 +92,7 @@ SaturationResult find_saturation_scaled(const msg::MessageSet& base,
     }
   }
 
-  // Bisection: invariant predicate(lo) && !predicate(hi).
+  // Bisection: invariant kernel(lo) && !kernel(hi).
   while ((hi - lo) > options.relative_tolerance * hi) {
     const double mid = 0.5 * (lo + hi);
     if (probe(mid)) {
@@ -115,15 +107,6 @@ SaturationResult find_saturation_scaled(const msg::MessageSet& base,
   res.breakdown_utilization = scaled_utilization(base, lo, bw);
   count_evals(res.predicate_evals);
   return res;
-}
-
-SaturationResult find_saturation(const msg::MessageSet& base,
-                                 const SchedulablePredicate& predicate,
-                                 BitsPerSecond bw,
-                                 const SaturationOptions& options) {
-  ScaledWorkspace workspace;
-  return find_saturation_scaled(
-      base, kernel_over_workspace(base, predicate, workspace), bw, options);
 }
 
 }  // namespace tokenring::breakdown

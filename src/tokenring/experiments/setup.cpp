@@ -34,27 +34,6 @@ analysis::TtpParams PaperSetup::ttp_params() const {
   return p;
 }
 
-breakdown::SchedulablePredicate PaperSetup::pdp_predicate(
-    analysis::PdpVariant variant, BitsPerSecond bw) const {
-  return [params = pdp_params(variant), bw](const msg::MessageSet& set) {
-    return analysis::pdp_feasible(set, params, bw);
-  };
-}
-
-breakdown::SchedulablePredicate PaperSetup::ttp_predicate(
-    BitsPerSecond bw) const {
-  return [params = ttp_params(), bw](const msg::MessageSet& set) {
-    return analysis::ttp_feasible(set, params, bw);
-  };
-}
-
-breakdown::SchedulablePredicate PaperSetup::ttp_predicate_at(
-    BitsPerSecond bw, Seconds ttrt) const {
-  return [params = ttp_params(), bw, ttrt](const msg::MessageSet& set) {
-    return analysis::ttp_feasible_at(set, params, bw, ttrt);
-  };
-}
-
 breakdown::ScaleKernelFactory PaperSetup::pdp_kernel_factory(
     analysis::PdpVariant variant, BitsPerSecond bw) const {
   return [params = pdp_params(variant), bw](const msg::MessageSet& base) {
@@ -84,51 +63,15 @@ breakdown::ScaleKernelFactory PaperSetup::ttp_kernel_factory_at(
   };
 }
 
-namespace {
-
-template <typename Criterion>
-breakdown::BreakdownEstimate estimate_point_impl(
-    const PaperSetup& setup, const Criterion& criterion, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor) {
-  msg::MessageSetGenerator generator(setup.generator_config());
-  breakdown::MonteCarloOptions options;
-  options.num_sets = num_sets;
-  return breakdown::estimate_breakdown_utilization(generator, criterion, bw,
-                                                   seed, executor, options);
-}
-
-}  // namespace
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor) {
-  return estimate_point_impl(setup, predicate, bw, num_sets, seed, executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, predicate, bw, num_sets, seed, inline_executor);
-}
-
 breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor) {
-  return estimate_point_impl(setup, kernel_factory, bw, num_sets, seed,
-                             executor);
-}
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed) {
-  const exec::Executor inline_executor(1);
-  return estimate_point(setup, kernel_factory, bw, num_sets, seed,
-                        inline_executor);
+  msg::MessageSetGenerator generator(setup.generator_config());
+  breakdown::MonteCarloOptions options;
+  options.num_sets = num_sets;
+  return breakdown::estimate_breakdown_utilization(generator, kernel_factory,
+                                                   bw, seed, executor, options);
 }
 
 }  // namespace tokenring::experiments

@@ -1,6 +1,7 @@
 // Shared experiment configuration: the paper's Section 6.2 operating
-// conditions with knobs for the ablation studies, plus predicate factories
-// binding each protocol's schedulability criterion to a bandwidth.
+// conditions with knobs for the ablation studies, plus scale-kernel
+// factories binding each protocol's schedulability criterion to a
+// bandwidth.
 //
 // Every bench binary and the experiment drivers below build their scenarios
 // through this type so that "the paper's conditions" exist in exactly one
@@ -41,24 +42,13 @@ struct PaperSetup {
   /// TTP analysis parameters (FDDI ring constants).
   analysis::TtpParams ttp_params() const;
 
-  /// Schedulability predicate for one PDP variant at one bandwidth.
-  breakdown::SchedulablePredicate pdp_predicate(analysis::PdpVariant variant,
-                                                BitsPerSecond bw) const;
-
-  /// Schedulability predicate for TTP (paper TTRT rule) at one bandwidth.
-  breakdown::SchedulablePredicate ttp_predicate(BitsPerSecond bw) const;
-
-  /// TTP predicate with an explicitly pinned TTRT (for the sensitivity
-  /// study).
-  breakdown::SchedulablePredicate ttp_predicate_at(BitsPerSecond bw,
-                                                   Seconds ttrt) const;
-
-  /// Scale-kernel factories matching the predicates above verdict for
-  /// verdict (analysis/kernels.hpp): per trial, the scale-invariant work is
-  /// hoisted once and each saturation probe is allocation-free. These are
-  /// what the experiment drivers and the advisor use; the predicates remain
-  /// the reference path (tests pin that both produce bit-identical
-  /// estimates).
+  /// Scale-kernel factories for each protocol's criterion at one bandwidth
+  /// (analysis/kernels.hpp): per trial, the scale-invariant work is hoisted
+  /// once and each saturation probe is allocation-free. A kernel built
+  /// from base M answers, at scale a, exactly what pdp_feasible /
+  /// ttp_feasible(_at) answer on M.scaled(a); tests pin that agreement
+  /// against a search over scaled copies. `ttp_kernel_factory_at` pins the
+  /// TTRT explicitly (for the sensitivity study).
   breakdown::ScaleKernelFactory pdp_kernel_factory(analysis::PdpVariant variant,
                                                    BitsPerSecond bw) const;
   breakdown::ScaleKernelFactory ttp_kernel_factory(BitsPerSecond bw) const;
@@ -66,32 +56,15 @@ struct PaperSetup {
                                                       Seconds ttrt) const;
 };
 
-/// Estimate the average breakdown utilization of one predicate at one
+/// Estimate the average breakdown utilization of one criterion at one
 /// bandwidth, running the trials on `executor`. Trial i draws from the
 /// seed stream derived from (seed, i), so curves estimated for different
 /// protocols share the same random message sets (common random numbers),
 /// which sharpens curve-to-curve comparisons — and the result is
 /// bit-identical for every executor jobs count.
 breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed,
-    const exec::Executor& executor);
-
-/// Convenience overload running inline on the calling thread (same result
-/// as any parallel executor, just sequentially).
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup, const breakdown::SchedulablePredicate& predicate,
-    BitsPerSecond bw, std::size_t num_sets, std::uint64_t seed);
-
-/// Kernel-factory forms: same estimates, allocation-free probe loop.
-breakdown::BreakdownEstimate estimate_point(
     const PaperSetup& setup,
     const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
     std::size_t num_sets, std::uint64_t seed, const exec::Executor& executor);
-
-breakdown::BreakdownEstimate estimate_point(
-    const PaperSetup& setup,
-    const breakdown::ScaleKernelFactory& kernel_factory, BitsPerSecond bw,
-    std::size_t num_sets, std::uint64_t seed);
 
 }  // namespace tokenring::experiments

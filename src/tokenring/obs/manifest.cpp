@@ -8,6 +8,9 @@
 #ifndef TOKENRING_GIT_DESCRIBE
 #define TOKENRING_GIT_DESCRIBE "unknown"
 #endif
+#ifndef TOKENRING_BUILD_TYPE
+#define TOKENRING_BUILD_TYPE "unknown"
+#endif
 
 namespace tokenring::obs {
 
@@ -37,6 +40,8 @@ std::string tool_version() { return TOKENRING_VERSION; }
 
 std::string git_describe() { return TOKENRING_GIT_DESCRIBE; }
 
+std::string build_type() { return TOKENRING_BUILD_TYPE; }
+
 void RunManifest::add_table(const std::string& name, const Table& table) {
   results.push_back(ResultTable{name, table.headers(), table.data()});
 }
@@ -48,6 +53,7 @@ void RunManifest::write_json(std::ostream& os, int indent) const {
   w.key("tool").value_string(tool);
   w.key("version").value_string(version);
   w.key("git").value_string(git);
+  w.key("build_type").value_string(build_type);
   if (seed) {
     w.key("seed").value_uint(*seed);
   } else {

@@ -6,6 +6,7 @@
 //     "tool": "<binary or subcommand name>",
 //     "version": "<project version>",
 //     "git": "<git describe at configure time>",
+//     "build_type": "<CMAKE_BUILD_TYPE at configure time>",
 //     "seed": <uint> | null,
 //     "jobs": <uint> | null,
 //     "config": { "<flag>": "<final value>", ... },
@@ -46,10 +47,16 @@ std::string tool_version();
 /// `git describe` output captured at configure time ("unknown" outside git).
 std::string git_describe();
 
+/// CMAKE_BUILD_TYPE captured at configure time (the top-level
+/// CMakeLists.txt defaults it to RelWithDebInfo). Timings are comparable
+/// only between builds of the same type.
+std::string build_type();
+
 struct RunManifest {
   std::string tool;
   std::string version = tool_version();
   std::string git = git_describe();
+  std::string build_type = obs::build_type();
   std::optional<std::uint64_t> seed;
   std::optional<std::uint64_t> jobs;
   std::vector<std::pair<std::string, std::string>> config;

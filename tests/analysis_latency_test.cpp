@@ -10,6 +10,7 @@
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
 #include "tokenring/sim/config.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring::analysis {
 namespace {
@@ -140,7 +141,8 @@ TEST(TtpLatency, SimulatedResponsesNeverExceedBound) {
     const auto predicate = [&](const msg::MessageSet& m) {
       return ttp_feasible(m, p, bw);
     };
-    const auto sat = breakdown::find_saturation(base, predicate, bw);
+    const auto sat = breakdown::find_saturation_scaled(
+        base, reference::scaled_copy_kernel(base, predicate), bw);
     if (!sat.found) continue;
     const auto set = base.scaled(sat.critical_scale * 0.95);
     const Seconds ttrt = select_ttrt(set, p.ring, bw);

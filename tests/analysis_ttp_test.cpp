@@ -10,6 +10,7 @@
 #include "tokenring/common/rng.hpp"
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring::analysis {
 namespace {
@@ -244,11 +245,13 @@ TEST(TtpCriticalScale, MatchesBisectionOnRandomSets) {
     const BitsPerSecond bw = mbps(rng.uniform(20.0, 500.0));
     const Seconds ttrt = select_ttrt(base, p.ring, bw);
     const double closed = ttp_critical_scale(base, p, bw, ttrt);
-    const auto bisect = breakdown::find_saturation(
+    const auto bisect = breakdown::find_saturation_scaled(
         base,
-        [&](const msg::MessageSet& m) {
-          return ttp_feasible_at(m, p, bw, ttrt);
-        },
+        reference::scaled_copy_kernel(
+            base,
+            [&](const msg::MessageSet& m) {
+              return ttp_feasible_at(m, p, bw, ttrt);
+            }),
         bw);
     ASSERT_TRUE(bisect.found) << "trial " << trial;
     EXPECT_NEAR(bisect.critical_scale, closed, closed * 1e-5)

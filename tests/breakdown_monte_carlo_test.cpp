@@ -10,6 +10,7 @@
 #include "tokenring/common/checks.hpp"
 #include "tokenring/exec/seed_stream.hpp"
 #include "tokenring/net/standards.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring::breakdown {
 namespace {
@@ -22,18 +23,42 @@ msg::MessageSetGenerator small_generator() {
   return msg::MessageSetGenerator(g);
 }
 
+using reference::Criterion;
+
+// Every estimate goes through the executor; jobs == 1 runs inline.
+BreakdownEstimate estimate(const Criterion& criterion, BitsPerSecond bw,
+                           std::uint64_t seed, const MonteCarloOptions& opts,
+                           std::size_t jobs = 1) {
+  const exec::Executor executor(jobs);
+  return estimate_breakdown_utilization(
+      small_generator(), reference::scaled_copy_factory(criterion), bw, seed,
+      executor, opts);
+}
+
+analysis::TtpParams small_ttp_params() {
+  analysis::TtpParams p;
+  p.ring = net::fddi_ring(10);
+  p.frame = net::paper_frame_format();
+  p.async_frame = net::paper_frame_format();
+  return p;
+}
+
+Criterion ttp_criterion(BitsPerSecond bw) {
+  return [p = small_ttp_params(), bw](const msg::MessageSet& m) {
+    return analysis::ttp_feasible(m, p, bw);
+  };
+}
+
 TEST(MonteCarlo, ClosedFormPredicateRecoversThreshold) {
   // Against "utilization <= 0.8" every saturated sample lands exactly on
   // 0.8, so the estimator must return 0.8 with ~zero variance.
   const BitsPerSecond bw = mbps(10);
-  const SchedulablePredicate predicate = [bw](const msg::MessageSet& m) {
+  const Criterion criterion = [bw](const msg::MessageSet& m) {
     return m.utilization(bw) <= 0.8;
   };
-  auto gen = small_generator();
-  Rng rng(1);
   MonteCarloOptions opts;
   opts.num_sets = 25;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est = estimate(criterion, bw, 1, opts);
   EXPECT_EQ(est.utilization.count(), 25u);
   EXPECT_NEAR(est.mean(), 0.8, 1e-4);
   EXPECT_LT(est.utilization.stddev(), 1e-4);
@@ -43,51 +68,30 @@ TEST(MonteCarlo, ClosedFormPredicateRecoversThreshold) {
 
 TEST(MonteCarlo, DeterministicForFixedSeed) {
   const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
   MonteCarloOptions opts;
   opts.num_sets = 10;
-
-  Rng r1(42);
-  Rng r2(42);
-  const auto a = estimate_breakdown_utilization(gen, predicate, bw, r1, opts);
-  const auto b = estimate_breakdown_utilization(gen, predicate, bw, r2, opts);
+  const auto a = estimate(ttp_criterion(bw), bw, 42, opts);
+  const auto b = estimate(ttp_criterion(bw), bw, 42, opts);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
   EXPECT_DOUBLE_EQ(a.utilization.stddev(), b.utilization.stddev());
 }
 
 TEST(MonteCarlo, DegenerateSamplesCountAsZero) {
-  const SchedulablePredicate never = [](const msg::MessageSet&) {
-    return false;
-  };
-  auto gen = small_generator();
-  Rng rng(3);
+  const Criterion never = [](const msg::MessageSet&) { return false; };
   MonteCarloOptions opts;
   opts.num_sets = 5;
-  const auto est =
-      estimate_breakdown_utilization(gen, never, mbps(10), rng, opts);
+  const auto est = estimate(never, mbps(10), 3, opts);
   EXPECT_EQ(est.degenerate_sets, 5u);
   EXPECT_EQ(est.utilization.count(), 5u);
   EXPECT_DOUBLE_EQ(est.mean(), 0.0);
 }
 
 TEST(MonteCarlo, UnboundedSamplesExcluded) {
-  const SchedulablePredicate always = [](const msg::MessageSet&) {
-    return true;
-  };
-  auto gen = small_generator();
-  Rng rng(4);
+  const Criterion always = [](const msg::MessageSet&) { return true; };
   MonteCarloOptions opts;
   opts.num_sets = 5;
   opts.saturation.max_scale = 100.0;
-  const auto est =
-      estimate_breakdown_utilization(gen, always, mbps(10), rng, opts);
+  const auto est = estimate(always, mbps(10), 4, opts);
   EXPECT_EQ(est.unbounded_sets, 5u);
   EXPECT_EQ(est.utilization.count(), 0u);
 }
@@ -96,18 +100,9 @@ TEST(MonteCarlo, RealTtpEstimateIsInPlausibleRange) {
   // FDDI at 100 Mbps with 10 stations: average breakdown utilization should
   // land comfortably between the 33% worst case and 100%.
   const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
-  Rng rng(7);
   MonteCarloOptions opts;
   opts.num_sets = 30;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est = estimate(ttp_criterion(bw), bw, 7, opts);
   EXPECT_GT(est.mean(), 0.5);
   EXPECT_LT(est.mean(), 1.0);
   EXPECT_GT(est.ci95(), 0.0);
@@ -115,48 +110,34 @@ TEST(MonteCarlo, RealTtpEstimateIsInPlausibleRange) {
 
 TEST(MonteCarlo, KeepSamplesRecordsEveryDraw) {
   const BitsPerSecond bw = mbps(10);
-  const SchedulablePredicate predicate = [bw](const msg::MessageSet& m) {
+  const Criterion criterion = [bw](const msg::MessageSet& m) {
     return m.utilization(bw) <= 0.5;
   };
-  auto gen = small_generator();
-  Rng rng(6);
   MonteCarloOptions opts;
   opts.num_sets = 12;
   opts.keep_samples = true;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est = estimate(criterion, bw, 6, opts);
   ASSERT_EQ(est.samples.size(), 12u);
   for (double s : est.samples) EXPECT_NEAR(s, 0.5, 1e-4);
 }
 
 TEST(MonteCarlo, SamplesOffByDefault) {
-  const SchedulablePredicate predicate = [](const msg::MessageSet& m) {
+  const Criterion criterion = [](const msg::MessageSet& m) {
     return m.utilization(mbps(10)) <= 0.5;
   };
-  auto gen = small_generator();
-  Rng rng(6);
   MonteCarloOptions opts;
   opts.num_sets = 3;
-  const auto est =
-      estimate_breakdown_utilization(gen, predicate, mbps(10), rng, opts);
+  const auto est = estimate(criterion, mbps(10), 6, opts);
   EXPECT_TRUE(est.samples.empty());
   EXPECT_THROW(est.quantile(0.5), PreconditionError);
 }
 
 TEST(MonteCarlo, QuantilesAreOrderedAndBracketed) {
   const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
-  Rng rng(8);
   MonteCarloOptions opts;
   opts.num_sets = 40;
   opts.keep_samples = true;
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, rng, opts);
+  const auto est = estimate(ttp_criterion(bw), bw, 8, opts);
   const double q10 = est.quantile(0.1);
   const double q50 = est.quantile(0.5);
   const double q90 = est.quantile(0.9);
@@ -173,22 +154,12 @@ TEST(MonteCarloParallel, JobsCountDoesNotChangeTheEstimate) {
   // trial RNGs are keyed by (seed, trial index) and shards are folded in a
   // fixed order. Compare every field exactly — no tolerances.
   const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
   MonteCarloOptions opts;
   opts.num_sets = 40;
   opts.keep_samples = true;
 
-  const exec::Executor seq(1);
-  const exec::Executor par(8);
-  const auto a = estimate_breakdown_utilization(gen, predicate, bw, 42, seq, opts);
-  const auto b = estimate_breakdown_utilization(gen, predicate, bw, 42, par, opts);
+  const auto a = estimate(ttp_criterion(bw), bw, 42, opts, 1);
+  const auto b = estimate(ttp_criterion(bw), bw, 42, opts, 8);
 
   EXPECT_EQ(a.utilization.count(), b.utilization.count());
   EXPECT_EQ(a.mean(), b.mean());
@@ -208,27 +179,22 @@ TEST(MonteCarloParallel, SamplesAreInTrialIndexOrder) {
   // Recompute each trial independently via its seed stream: samples[k] must
   // be the breakdown of trial k regardless of which worker ran it.
   const BitsPerSecond bw = mbps(100);
-  analysis::TtpParams p;
-  p.ring = net::fddi_ring(10);
-  p.frame = net::paper_frame_format();
-  p.async_frame = net::paper_frame_format();
-  const SchedulablePredicate predicate = [&](const msg::MessageSet& m) {
-    return analysis::ttp_feasible(m, p, bw);
-  };
-  auto gen = small_generator();
+  const Criterion criterion = ttp_criterion(bw);
   MonteCarloOptions opts;
   opts.num_sets = 24;
   opts.keep_samples = true;
   const std::uint64_t seed = 91;
 
-  const exec::Executor par(8);
-  const auto est = estimate_breakdown_utilization(gen, predicate, bw, seed, par, opts);
+  const auto est = estimate(criterion, bw, seed, opts, 8);
   ASSERT_EQ(est.samples.size(), opts.num_sets);
 
+  const auto gen = small_generator();
   for (std::size_t k : {std::size_t{0}, std::size_t{7}, std::size_t{23}}) {
     Rng rng = exec::make_trial_rng(seed, k);
     const msg::MessageSet set = gen.generate(rng);
-    const auto sat = find_saturation(set, predicate, bw, opts.saturation);
+    const auto sat = find_saturation_scaled(
+        set, reference::scaled_copy_kernel(set, criterion), bw,
+        opts.saturation);
     ASSERT_TRUE(sat.found);
     EXPECT_EQ(est.samples[k], sat.breakdown_utilization) << "trial " << k;
   }
@@ -253,10 +219,9 @@ TEST(MonteCarloParallel, MergeCombinesCountsAndSamples) {
 }
 
 TEST(MonteCarloParallel, ProgressAndCancellation) {
-  const SchedulablePredicate predicate = [](const msg::MessageSet& m) {
+  const Criterion criterion = [](const msg::MessageSet& m) {
     return m.utilization(mbps(10)) <= 0.5;
   };
-  auto gen = small_generator();
   MonteCarloOptions opts;
   opts.num_sets = 32;
   std::size_t last_done = 0;
@@ -265,9 +230,7 @@ TEST(MonteCarloParallel, ProgressAndCancellation) {
     EXPECT_GE(done, last_done);
     last_done = done;
   };
-  const exec::Executor seq(1);
-  const auto est =
-      estimate_breakdown_utilization(gen, predicate, mbps(10), 5, seq, opts);
+  const auto est = estimate(criterion, mbps(10), 5, opts);
   EXPECT_EQ(est.utilization.count(), 32u);
   EXPECT_EQ(last_done, 32u);
 
@@ -276,24 +239,18 @@ TEST(MonteCarloParallel, ProgressAndCancellation) {
   MonteCarloOptions cancelled = opts;
   cancelled.progress = nullptr;
   cancelled.cancel = token;
-  EXPECT_THROW(
-      estimate_breakdown_utilization(gen, predicate, mbps(10), 5, seq, cancelled),
-      exec::Cancelled);
+  EXPECT_THROW(estimate(criterion, mbps(10), 5, cancelled), exec::Cancelled);
 }
 
 TEST(MonteCarlo, Preconditions) {
-  auto gen = small_generator();
-  Rng rng(1);
   MonteCarloOptions opts;
   opts.num_sets = 0;
-  const SchedulablePredicate always = [](const msg::MessageSet&) {
-    return true;
-  };
-  EXPECT_THROW(estimate_breakdown_utilization(gen, always, mbps(10), rng, opts),
-               PreconditionError);
+  const Criterion always = [](const msg::MessageSet&) { return true; };
+  EXPECT_THROW(estimate(always, mbps(10), 1, opts), PreconditionError);
   opts.num_sets = 1;
-  EXPECT_THROW(estimate_breakdown_utilization(gen, always, 0.0, rng, opts),
-               PreconditionError);
+  EXPECT_THROW(estimate(always, 0.0, 1, opts), PreconditionError);
+  opts.shard_size = 0;
+  EXPECT_THROW(estimate(always, mbps(10), 1, opts), PreconditionError);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "tokenring/common/rng.hpp"
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring::breakdown {
 namespace {
@@ -20,6 +21,15 @@ msg::MessageSet simple_set() {
   return set;
 }
 
+// The search over scaled copies of `base`: the reference every kernel
+// must match.
+SaturationResult search(const msg::MessageSet& base,
+                        const reference::Criterion& criterion,
+                        BitsPerSecond bw, const SaturationOptions& opts = {}) {
+  return find_saturation_scaled(
+      base, reference::scaled_copy_kernel(base, criterion), bw, opts);
+}
+
 TEST(Saturation, AnalyticUtilizationThreshold) {
   // Predicate: utilization at 1 Mbps <= 0.8. The base set has utilization
   // 0.1 + 0.2 = 0.3, so the critical scale is 0.8 / 0.3.
@@ -27,7 +37,7 @@ TEST(Saturation, AnalyticUtilizationThreshold) {
   const auto predicate = [bw](const msg::MessageSet& m) {
     return m.utilization(bw) <= 0.8;
   };
-  const auto res = find_saturation(simple_set(), predicate, bw);
+  const auto res = search(simple_set(), predicate, bw);
   ASSERT_TRUE(res.found);
   EXPECT_FALSE(res.degenerate_zero);
   EXPECT_NEAR(res.critical_scale, 0.8 / 0.3, 1e-4);
@@ -41,7 +51,7 @@ TEST(Saturation, TightToleranceTightensResult) {
   };
   SaturationOptions opts;
   opts.relative_tolerance = 1e-10;
-  const auto res = find_saturation(simple_set(), predicate, bw, opts);
+  const auto res = search(simple_set(), predicate, bw, opts);
   ASSERT_TRUE(res.found);
   EXPECT_NEAR(res.breakdown_utilization, 0.5, 1e-8);
 }
@@ -53,7 +63,7 @@ TEST(Saturation, BracketsUpwardFromSmallInitialScale) {
   };
   SaturationOptions opts;
   opts.initial_scale = 1e-6;  // far below the boundary
-  const auto res = find_saturation(simple_set(), predicate, bw, opts);
+  const auto res = search(simple_set(), predicate, bw, opts);
   ASSERT_TRUE(res.found);
   EXPECT_NEAR(res.breakdown_utilization, 0.9, 1e-4);
 }
@@ -65,14 +75,14 @@ TEST(Saturation, BracketsDownwardFromLargeInitialScale) {
   };
   SaturationOptions opts;
   opts.initial_scale = 1e6;  // far above the boundary
-  const auto res = find_saturation(simple_set(), predicate, bw, opts);
+  const auto res = search(simple_set(), predicate, bw, opts);
   ASSERT_TRUE(res.found);
   EXPECT_NEAR(res.breakdown_utilization, 0.2, 1e-4);
 }
 
 TEST(Saturation, DegenerateWhenPredicateFailsAtZero) {
   const auto never = [](const msg::MessageSet&) { return false; };
-  const auto res = find_saturation(simple_set(), never, mbps(1));
+  const auto res = search(simple_set(), never, mbps(1));
   EXPECT_FALSE(res.found);
   EXPECT_TRUE(res.degenerate_zero);
 }
@@ -81,7 +91,7 @@ TEST(Saturation, UnboundedWhenPredicateNeverFails) {
   const auto always = [](const msg::MessageSet&) { return true; };
   SaturationOptions opts;
   opts.max_scale = 1e6;
-  const auto res = find_saturation(simple_set(), always, mbps(1), opts);
+  const auto res = search(simple_set(), always, mbps(1), opts);
   EXPECT_FALSE(res.found);
   EXPECT_FALSE(res.degenerate_zero);
   EXPECT_GT(res.critical_scale, 0.0);
@@ -94,7 +104,7 @@ TEST(Saturation, CriticalScaleIsOnSchedulableSide) {
   const auto predicate = [bw](const msg::MessageSet& m) {
     return m.utilization(bw) <= 0.7;
   };
-  const auto res = find_saturation(simple_set(), predicate, bw);
+  const auto res = search(simple_set(), predicate, bw);
   ASSERT_TRUE(res.found);
   EXPECT_TRUE(predicate(simple_set().scaled(res.critical_scale)));
   EXPECT_FALSE(predicate(simple_set().scaled(res.critical_scale * 1.001)));
@@ -109,7 +119,7 @@ TEST(Saturation, WorksAgainstRealPdpCriterion) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::pdp_feasible(m, p, bw);
   };
-  const auto res = find_saturation(simple_set(), predicate, bw);
+  const auto res = search(simple_set(), predicate, bw);
   ASSERT_TRUE(res.found);
   EXPECT_GT(res.breakdown_utilization, 0.1);
   EXPECT_LT(res.breakdown_utilization, 1.0);
@@ -127,18 +137,18 @@ TEST(Saturation, WorksAgainstRealTtpCriterion) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::ttp_feasible(m, p, bw);
   };
-  const auto res = find_saturation(simple_set(), predicate, bw);
+  const auto res = search(simple_set(), predicate, bw);
   ASSERT_TRUE(res.found);
   EXPECT_GT(res.breakdown_utilization, 0.3);
   EXPECT_LT(res.breakdown_utilization, 1.0);
 }
 
-// ---- scale-space kernel path -------------------------------------------------
+// ---- protocol kernels vs the scaled-copy reference ---------------------------
 
 TEST(SaturationKernel, PdpKernelPathIsBitIdenticalToPredicatePath) {
   // Same bisection, same verdicts => same probe sequence: critical scale,
-  // utilization and probe count must match the predicate path exactly, not
-  // approximately, over a corpus of random sets.
+  // utilization and probe count must match the search over scaled copies
+  // exactly, not approximately, over a corpus of random sets.
   analysis::PdpParams p;
   p.ring = net::ieee8025_ring(8);
   p.frame = net::paper_frame_format();
@@ -154,7 +164,7 @@ TEST(SaturationKernel, PdpKernelPathIsBitIdenticalToPredicatePath) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     const auto base = gen.generate(rng);
-    const auto ref = find_saturation(base, predicate, bw);
+    const auto ref = search(base, predicate, bw);
     const auto fast = find_saturation_scaled(
         base, analysis::PdpScaleKernel(base, p, bw), bw);
     ASSERT_EQ(ref.found, fast.found) << "trial " << trial;
@@ -182,7 +192,7 @@ TEST(SaturationKernel, TtpKernelPathIsBitIdenticalToPredicatePath) {
   Rng rng(101);
   for (int trial = 0; trial < 20; ++trial) {
     const auto base = gen.generate(rng);
-    const auto ref = find_saturation(base, predicate, bw);
+    const auto ref = search(base, predicate, bw);
     const auto fast = find_saturation_scaled(
         base, analysis::TtpScaleKernel(base, p, bw), bw);
     ASSERT_EQ(ref.found, fast.found) << "trial " << trial;
@@ -200,58 +210,30 @@ TEST(SaturationKernel, PredicateEvalsCountsEveryProbe) {
   const auto predicate = [bw](const msg::MessageSet& m) {
     return m.utilization(bw) <= 0.8;
   };
-  const auto res = find_saturation(simple_set(), predicate, bw);
+  const auto res = search(simple_set(), predicate, bw);
   ASSERT_TRUE(res.found);
   EXPECT_GE(res.predicate_evals, 20);
   EXPECT_LE(res.predicate_evals, 200);
 }
 
-TEST(SaturationKernel, WorkspaceScalingIsBitIdenticalToScaledCopies) {
-  const auto base = simple_set();
-  ScaledWorkspace workspace;
-  for (const double factor : {0.0, 0.25, 1.0, 3.5, 1e6}) {
-    const auto& scaled = workspace.at_scale(base, factor);
-    const auto copy = base.scaled(factor);
-    ASSERT_EQ(scaled.size(), copy.size());
-    for (std::size_t i = 0; i < copy.size(); ++i) {
-      EXPECT_EQ(scaled[i].payload_bits, copy[i].payload_bits);
-      EXPECT_EQ(scaled[i].period, copy[i].period);
-    }
-  }
-}
-
-TEST(SaturationKernel, KernelOverWorkspaceMatchesDirectPredicate) {
-  const auto base = simple_set();
-  const BitsPerSecond bw = mbps(1);
-  const SchedulablePredicate predicate = [bw](const msg::MessageSet& m) {
-    return m.utilization(bw) <= 0.8;
-  };
-  ScaledWorkspace workspace;
-  const ScaleKernel kernel = kernel_over_workspace(base, predicate, workspace);
-  for (const double factor : {0.1, 1.0, 2.6, 2.7, 10.0}) {
-    EXPECT_EQ(kernel(factor), predicate(base.scaled(factor)))
-        << "factor " << factor;
-  }
-}
-
 TEST(Saturation, Preconditions) {
   const auto always = [](const msg::MessageSet&) { return true; };
   msg::MessageSet empty;
-  EXPECT_THROW(find_saturation(empty, always, mbps(1)), PreconditionError);
+  EXPECT_THROW(search(empty, always, mbps(1)), PreconditionError);
 
   msg::MessageSet zero;
   zero.add({.period = milliseconds(10), .payload_bits = 0.0, .station = 0});
-  EXPECT_THROW(find_saturation(zero, always, mbps(1)), PreconditionError);
+  EXPECT_THROW(search(zero, always, mbps(1)), PreconditionError);
 
   SaturationOptions bad;
   bad.relative_tolerance = 0.0;
-  EXPECT_THROW(find_saturation(simple_set(), always, mbps(1), bad),
+  EXPECT_THROW(search(simple_set(), always, mbps(1), bad),
                PreconditionError);
   bad = {};
   bad.initial_scale = 0.0;
-  EXPECT_THROW(find_saturation(simple_set(), always, mbps(1), bad),
+  EXPECT_THROW(search(simple_set(), always, mbps(1), bad),
                PreconditionError);
-  EXPECT_THROW(find_saturation(simple_set(), always, 0.0), PreconditionError);
+  EXPECT_THROW(search(simple_set(), always, 0.0), PreconditionError);
 }
 
 }  // namespace

@@ -24,11 +24,13 @@ class Argv {
   std::vector<char*> ptrs_;
 };
 
+using Outcome = CliFlags::ParseOutcome;
+
 TEST(Cli, DefaultsApplyWithoutArgs) {
   CliFlags flags;
   flags.declare("sets", "100", "number of sets");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
   EXPECT_EQ(flags.get_int("sets"), 100);
 }
 
@@ -36,7 +38,7 @@ TEST(Cli, EqualsSyntax) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--sets=25"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
   EXPECT_EQ(flags.get_int("sets"), 25);
 }
 
@@ -44,7 +46,7 @@ TEST(Cli, SpaceSyntax) {
   CliFlags flags;
   flags.declare("seed", "1", "");
   Argv a({"prog", "--seed", "777"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
   EXPECT_EQ(flags.get_int("seed"), 777);
 }
 
@@ -52,55 +54,54 @@ TEST(Cli, UnknownFlagRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--bogus=1"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kError);
 }
 
 TEST(Cli, MissingValueRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--sets"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kError);
 }
 
 TEST(Cli, PositionalRejected) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "17"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kError);
 }
 
 TEST(Cli, HelpShortCircuits) {
   CliFlags flags;
   flags.declare("sets", "100", "");
   Argv a({"prog", "--help"});
-  EXPECT_FALSE(flags.parse(a.argc(), a.argv()));
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kHelp);
 }
 
 TEST(Cli, ParseDetailedDistinguishesHelpFromErrors) {
   // --help is a successful outcome (the caller exits 0); unknown flags and
-  // missing values are errors (exit 1). parse() collapses both to false,
-  // which is why callers that care about exit codes use parse_detailed.
+  // missing values are errors (exit 1).
   CliFlags flags;
   flags.declare("sets", "100", "");
   {
     Argv a({"prog", "--help"});
     EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
-              CliFlags::ParseOutcome::kHelp);
+              Outcome::kHelp);
   }
   {
     Argv a({"prog", "--bogus=1"});
     EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
-              CliFlags::ParseOutcome::kError);
+              Outcome::kError);
   }
   {
     Argv a({"prog", "--sets"});
     EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
-              CliFlags::ParseOutcome::kError);
+              Outcome::kError);
   }
   {
     Argv a({"prog", "--sets=7"});
     EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()),
-              CliFlags::ParseOutcome::kOk);
+              Outcome::kOk);
     EXPECT_EQ(flags.get_int("sets"), 7);
   }
 }
@@ -111,7 +112,7 @@ TEST(Cli, TypedAccessors) {
   flags.declare("b", "true", "");
   flags.declare("s", "hello", "");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
   EXPECT_DOUBLE_EQ(flags.get_double("d"), 2.5);
   EXPECT_TRUE(flags.get_bool("b"));
   EXPECT_EQ(flags.get_string("s"), "hello");
@@ -121,7 +122,7 @@ TEST(Cli, BadTypeThrows) {
   CliFlags flags;
   flags.declare("d", "abc", "");
   Argv a({"prog"});
-  ASSERT_TRUE(flags.parse(a.argc(), a.argv()));
+  ASSERT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
   EXPECT_THROW(flags.get_double("d"), PreconditionError);
   EXPECT_THROW(flags.get_int("d"), PreconditionError);
   EXPECT_THROW(flags.get_bool("d"), PreconditionError);

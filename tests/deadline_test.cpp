@@ -17,6 +17,7 @@
 #include "tokenring/net/standards.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring {
 namespace {
@@ -107,11 +108,13 @@ TEST(Deadline, TighteningDeadlinesOnlyRemovesFeasibility) {
     // the deadlines has something to bite.
     const BitsPerSecond bw = mbps(20);
     auto base = gen.generate(rng);
-    const auto sat = breakdown::find_saturation(
+    const auto sat = breakdown::find_saturation_scaled(
         base,
-        [&](const msg::MessageSet& m) {
-          return analysis::pdp_feasible(m, pdp, bw);
-        },
+        reference::scaled_copy_kernel(
+            base,
+            [&](const msg::MessageSet& m) {
+              return analysis::pdp_feasible(m, pdp, bw);
+            }),
         bw);
     if (!sat.found) continue;
     base = base.scaled(sat.critical_scale * 0.9);

@@ -18,6 +18,7 @@
 #include "tokenring/experiments/sim_validation_study.hpp"
 #include "tokenring/experiments/station_count_study.hpp"
 #include "tokenring/experiments/ttrt_study.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring::experiments {
 namespace {
@@ -46,25 +47,14 @@ TEST(Setup, ParamsFollowStandards) {
   EXPECT_DOUBLE_EQ(setup.ttp_params().frame.info_bits, 512.0);
 }
 
-TEST(Setup, PredicatesReactToScale) {
-  const auto setup = small_setup();
-  msg::MessageSetGenerator gen(setup.generator_config());
-  Rng rng(1);
-  const auto base = gen.generate(rng);
-  const auto pdp =
-      setup.pdp_predicate(analysis::PdpVariant::kModified8025, mbps(10));
-  EXPECT_TRUE(pdp(base.scaled(0.01)));
-  EXPECT_FALSE(pdp(base.scaled(1e6)));
-  const auto ttp = setup.ttp_predicate(mbps(100));
-  EXPECT_TRUE(ttp(base.scaled(0.01)));
-  EXPECT_FALSE(ttp(base.scaled(1e6)));
-}
-
 TEST(Setup, EstimatePointDeterministic) {
   const auto setup = small_setup();
-  const auto p = setup.ttp_predicate(mbps(100));
-  const auto a = estimate_point(setup, p, mbps(100), 5, 3);
-  const auto b = estimate_point(setup, p, mbps(100), 5, 3);
+  const auto factory = setup.ttp_kernel_factory(mbps(100));
+  const exec::Executor inline_executor(1);
+  const auto a =
+      estimate_point(setup, factory, mbps(100), 5, 3, inline_executor);
+  const auto b =
+      estimate_point(setup, factory, mbps(100), 5, 3, inline_executor);
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
 }
 
@@ -277,9 +267,16 @@ TEST(DeadlineStudy, ImplicitDeadlineRowMatchesPlainSetup) {
   config.deadline_fractions = {1.0};
   config.sets_per_point = 8;
   const auto rows = run_deadline_study(config);
-  const auto plain = estimate_point(config.setup,
-                                    config.setup.ttp_predicate(mbps(100)),
-                                    mbps(100), 8, config.seed)
+  // The study runs the TTP kernel; the plain estimate searches scaled
+  // copies with ttp_feasible itself.
+  const auto params = config.setup.ttp_params();
+  const auto reference_factory =
+      reference::scaled_copy_factory([params](const msg::MessageSet& m) {
+        return analysis::ttp_feasible(m, params, mbps(100));
+      });
+  const exec::Executor inline_executor(1);
+  const auto plain = estimate_point(config.setup, reference_factory,
+                                    mbps(100), 8, config.seed, inline_executor)
                          .mean();
   EXPECT_DOUBLE_EQ(rows[0].fddi, plain);
 }

@@ -20,6 +20,7 @@
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
 #include "tokenring/sim/config.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring {
 namespace {
@@ -54,7 +55,8 @@ TEST_P(TtpAgreement, SchedulableSetsNeverMissDeadlines) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::ttp_feasible(m, params, bw);
   };
-  const auto sat = breakdown::find_saturation(base, predicate, bw);
+  const auto sat = breakdown::find_saturation_scaled(
+      base, reference::scaled_copy_kernel(base, predicate), bw);
   if (!sat.found) GTEST_SKIP() << "degenerate at this bandwidth";
 
   // Just inside the boundary: must be clean even under worst-case phasing
@@ -92,7 +94,8 @@ TEST_P(TtpAgreement, GrosslyOversaturatedSetsMiss) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::ttp_feasible(m, params, bw);
   };
-  const auto sat = breakdown::find_saturation(base, predicate, bw);
+  const auto sat = breakdown::find_saturation_scaled(
+      base, reference::scaled_copy_kernel(base, predicate), bw);
   if (!sat.found) GTEST_SKIP() << "degenerate at this bandwidth";
 
   // 3x the boundary cannot be served: payload demand alone exceeds the
@@ -140,7 +143,8 @@ TEST_P(PdpAgreement, ComfortablyScheduledSetsAreClean) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::pdp_feasible(m, params, bw);
   };
-  const auto sat = breakdown::find_saturation(base, predicate, bw);
+  const auto sat = breakdown::find_saturation_scaled(
+      base, reference::scaled_copy_kernel(base, predicate), bw);
   if (!sat.found) GTEST_SKIP() << "degenerate at this bandwidth";
 
   const auto set = base.scaled(sat.critical_scale * 0.6);
@@ -175,7 +179,8 @@ TEST_P(PdpAgreement, GrosslyOverloadedSetsMiss) {
   const auto predicate = [&](const msg::MessageSet& m) {
     return analysis::pdp_feasible(m, params, bw);
   };
-  const auto sat = breakdown::find_saturation(base, predicate, bw);
+  const auto sat = breakdown::find_saturation_scaled(
+      base, reference::scaled_copy_kernel(base, predicate), bw);
   if (!sat.found) GTEST_SKIP() << "degenerate at this bandwidth";
 
   const auto set = base.scaled(sat.critical_scale * 3.0);
@@ -216,7 +221,8 @@ TEST(BreakdownPipeline, TtpBoundarySetsSitOnTheCriterionEdge) {
     const auto predicate = [&](const msg::MessageSet& m) {
       return analysis::ttp_feasible(m, params, bw);
     };
-    const auto sat = breakdown::find_saturation(base, predicate, bw);
+    const auto sat = breakdown::find_saturation_scaled(
+        base, reference::scaled_copy_kernel(base, predicate), bw);
     ASSERT_TRUE(sat.found);
     EXPECT_TRUE(predicate(base.scaled(sat.critical_scale)));
     EXPECT_FALSE(predicate(base.scaled(sat.critical_scale * 1.0001)));
@@ -241,17 +247,21 @@ TEST(BreakdownPipeline, PdpVariantOrderingAtSaturation) {
   auto gen = make_generator(n);
   for (int trial = 0; trial < 5; ++trial) {
     const auto base = gen.generate(rng);
-    const auto sat_std = breakdown::find_saturation(
+    const auto sat_std = breakdown::find_saturation_scaled(
         base,
-        [&](const msg::MessageSet& m) {
-          return analysis::pdp_feasible(m, std_params, bw);
-        },
+        reference::scaled_copy_kernel(
+            base,
+            [&](const msg::MessageSet& m) {
+              return analysis::pdp_feasible(m, std_params, bw);
+            }),
         bw);
-    const auto sat_mod = breakdown::find_saturation(
+    const auto sat_mod = breakdown::find_saturation_scaled(
         base,
-        [&](const msg::MessageSet& m) {
-          return analysis::pdp_feasible(m, mod_params, bw);
-        },
+        reference::scaled_copy_kernel(
+            base,
+            [&](const msg::MessageSet& m) {
+              return analysis::pdp_feasible(m, mod_params, bw);
+            }),
         bw);
     ASSERT_TRUE(sat_std.found);
     ASSERT_TRUE(sat_mod.found);

@@ -548,6 +548,7 @@ TEST(RunManifest, GoldenDocument) {
   m.tool = "golden_tool";
   m.version = "1.0.0";
   m.git = "deadbee";
+  m.build_type = "Release";
   m.seed = 42;
   m.config = {{"alpha", "0.5"}, {"label", "a b"}};
   m.results.push_back({"points",
@@ -567,6 +568,7 @@ TEST(RunManifest, GoldenDocument) {
   "tool": "golden_tool",
   "version": "1.0.0",
   "git": "deadbee",
+  "build_type": "Release",
   "seed": 42,
   "jobs": null,
   "config": {

@@ -22,6 +22,7 @@
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/msg/io.hpp"
 #include "tokenring/net/standards.hpp"
+#include "reference_search.hpp"
 
 namespace tokenring {
 namespace {
@@ -89,15 +90,15 @@ TEST_P(BreakdownBounds, SaturatedUtilizationIsAProperFraction) {
   for (int trial = 0; trial < 8; ++trial) {
     const auto base = gen.generate(rng);
     const BitsPerSecond bw = mbps(rng.uniform(2.0, 500.0));
-    for (const auto& predicate :
-         {breakdown::SchedulablePredicate(
-              [&](const msg::MessageSet& m) {
-                return analysis::pdp_feasible(m, pdp, bw);
-              }),
-          breakdown::SchedulablePredicate([&](const msg::MessageSet& m) {
+    for (const auto& criterion :
+         {reference::Criterion([&](const msg::MessageSet& m) {
+            return analysis::pdp_feasible(m, pdp, bw);
+          }),
+          reference::Criterion([&](const msg::MessageSet& m) {
             return analysis::ttp_feasible(m, ttp, bw);
           })}) {
-      const auto sat = breakdown::find_saturation(base, predicate, bw);
+      const auto sat = breakdown::find_saturation_scaled(
+          base, reference::scaled_copy_kernel(base, criterion), bw);
       if (sat.found) {
         EXPECT_GT(sat.breakdown_utilization, 0.0);
         EXPECT_LE(sat.breakdown_utilization, 1.0 + 1e-9);
@@ -153,12 +154,9 @@ TEST(BandwidthAnomaly, BreakdownUtilizationFallsWhileTtpRises) {
   const auto breakdown_at = [&](const auto& params, auto feasible,
                                 double bw_mbps) {
     const BitsPerSecond bw = mbps(bw_mbps);
-    return breakdown::find_saturation(
-               base,
-               [&](const msg::MessageSet& m) {
-                 return feasible(m, params, bw);
-               },
-               bw)
+    const auto kernel = reference::scaled_copy_kernel(
+        base, [&](const msg::MessageSet& m) { return feasible(m, params, bw); });
+    return breakdown::find_saturation_scaled(base, kernel, bw)
         .breakdown_utilization;
   };
   const auto pdp_feasible_fn = [](const msg::MessageSet& m, const auto& p,
@@ -302,9 +300,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsvRoundTrip, ::testing::Values(17, 19, 23));
 
 // ---- fast-kernel differential --------------------------------------------------------
 //
-// The screened verdicts (rta_feasible_fast, lsd_feasible_fast) and the
-// scale-space kernels (PdpScaleKernel, TtpScaleKernel) are drop-in
-// replacements for the exact analyses; these tests pin verdict-for-verdict
+// The screened verdict (rta_feasible_fast) and the scale-space kernels
+// (PdpScaleKernel, TtpScaleKernel) are drop-in replacements for the exact
+// analyses; these tests pin verdict-for-verdict
 // agreement on a large randomized corpus drawn from the exec/ seed stream
 // (fixed master seeds, so every run and every machine sees the same sets).
 
@@ -349,8 +347,6 @@ TEST(FastKernelDifferential, ScreenedVerdictsMatchExactOn10kTaskSets) {
                                     << trial;
     ASSERT_EQ(exact_rta, analysis::rta_feasible_fast(tasks, blocking))
         << "rta_feasible_fast disagrees at trial " << trial;
-    ASSERT_EQ(exact_lsd, analysis::lsd_feasible_fast(tasks, blocking))
-        << "lsd_feasible_fast disagrees at trial " << trial;
     (exact_rta ? schedulable : infeasible) += 1;
   }
   // The corpus must exercise both verdicts, or the agreement is vacuous.
@@ -521,8 +517,8 @@ TEST(FastKernelDifferential, ScaleKernelsMatchPredicatesScaleForScale) {
 }
 
 TEST(FastKernelDifferential, KernelSaturationMatchesPredicateFieldForField) {
-  // Whole searches: the kernel path must reproduce the predicate path's
-  // result in every field, including predicate_evals (so every probe
+  // Whole searches: the kernel path must reproduce the search over scaled
+  // copies in every field, including predicate_evals (so every probe
   // verdict along the way), for all three outcome classes.
   int found = 0;
   int degenerate = 0;
@@ -547,11 +543,12 @@ TEST(FastKernelDifferential, KernelSaturationMatchesPredicateFieldForField) {
     if (trial % 3 == 0) options.max_scale = 4.0;
 
     const auto expect_match = [&](const breakdown::ScaleKernel& kernel,
-                                  const breakdown::SchedulablePredicate& pred,
+                                  const reference::Criterion& criterion,
                                   const char* what) {
       const auto got =
           breakdown::find_saturation_scaled(base, kernel, bw, options);
-      const auto ref = breakdown::find_saturation(base, pred, bw, options);
+      const auto ref = breakdown::find_saturation_scaled(
+          base, reference::scaled_copy_kernel(base, criterion), bw, options);
       EXPECT_EQ(got.found, ref.found) << what << " trial " << trial;
       EXPECT_EQ(got.degenerate_zero, ref.degenerate_zero)
           << what << " trial " << trial;
