@@ -51,11 +51,6 @@ PAIRS = [
     ("BM_SaturationSearchTtpKernel", "BM_SaturationSearchTtp", 1.5),
     ("BM_RtaScreened", "BM_RtaExact", 2.0),
     ("BM_ScaledInto", "BM_ScaledCopy", 1.0),
-    # Frontier vs eager event engine on the same sparse large-ring scenario
-    # (bench/sim_scaling.cpp); metrics are pinned bit-identical by
-    # tests/sim_engine_test.cpp. Locally measured 25-50x; 10x is the PR's
-    # headline claim for 1k stations.
-    ("BM_SimScalingFrontier", "BM_SimScalingEager", 10.0),
 ]
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

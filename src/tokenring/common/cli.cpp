@@ -2,12 +2,38 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 
 #include "tokenring/common/checks.hpp"
 
 namespace tokenring {
+
+namespace {
+
+std::terminate_handler previous_terminate = nullptr;
+
+// A bad flag value surfaces only when main reads it: get_int and friends
+// throw PreconditionError after parse_detailed has returned kOk. Uncaught,
+// it would abort with exit 134; report it like any other flag error
+// instead (message, exit 1). Other exceptions keep the default handling.
+[[noreturn]] void exit_on_precondition_error() {
+  if (const auto ex = std::current_exception()) {
+    try {
+      std::rethrow_exception(ex);
+    } catch (const PreconditionError& e) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "%s\n", e.what());
+      std::_Exit(1);
+    } catch (...) {
+    }
+  }
+  if (previous_terminate) previous_terminate();
+  std::abort();
+}
+
+}  // namespace
 
 void CliFlags::declare(const std::string& name, const std::string& default_value,
                        const std::string& help) {
@@ -16,6 +42,13 @@ void CliFlags::declare(const std::string& name, const std::string& default_value
 }
 
 CliFlags::ParseOutcome CliFlags::parse_detailed(int argc, char** argv) {
+  // Every bench, example and tool parses its flags here first, so this is
+  // the one place that gives an escaping PreconditionError its exit code.
+  static const bool installed = [] {
+    previous_terminate = std::set_terminate(exit_on_precondition_error);
+    return true;
+  }();
+  (void)installed;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {

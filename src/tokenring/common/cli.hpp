@@ -28,7 +28,9 @@ class CliFlags {
 
   /// Parse argv. Prints usage on kHelp (`--help`/`-h`) and on kError
   /// (unknown flag, missing value, stray positional), with the error
-  /// reason on stderr first.
+  /// reason on stderr first. The first call also installs a terminate
+  /// handler that turns an uncaught PreconditionError (a bad flag value
+  /// read later by get_int and friends) into its message and exit 1.
   ParseOutcome parse_detailed(int argc, char** argv);
 
   /// Typed accessors; flag must have been declared.

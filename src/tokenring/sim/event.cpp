@@ -14,8 +14,6 @@ const char* to_string(EventKind kind) {
       return "recovery";
     case EventKind::kCorruptionRetry:
       return "corruption-retry";
-    case EventKind::kTtpTokenHop:
-      return "ttp-token-hop";
     case EventKind::kPdpArrival:
       return "pdp-arrival";
     case EventKind::kPdpAsyncArrival:

@@ -1,11 +1,9 @@
 // Typed simulation events.
 //
-// The event engine used to schedule `std::function<void()>` closures: every
-// push heap-allocated a capture block and the scheduler knew nothing about
-// what it was firing. Events are now a flat tagged struct: the scheduler
-// pools them (no per-event allocation), validation errors can name the
-// event kind, and the protocol simulators dispatch on the tag in one
-// switch instead of re-capturing their state per event.
+// Events are a flat tagged struct rather than scheduled closures: the queue
+// stores them by value in its heap (no per-event allocation), validation
+// errors can name the event kind, and the protocol simulators dispatch on
+// the tag in one switch instead of re-capturing their state per event.
 
 #pragma once
 
@@ -31,9 +29,6 @@ enum class EventKind : std::uint8_t {
   /// Corrupted frame's wasted slot elapsed; retransmit from where the
   /// medium/token stood (generation-guarded, both protocols).
   kCorruptionRetry,
-  /// TTP token arrives at `station` (eager engine only; the frontier
-  /// engine advances the token without materializing hop events).
-  kTtpTokenHop,
   /// PDP synchronous release of stream `index` at `station`.
   kPdpArrival,
   /// PDP Poisson async frame arrival at `station`.
@@ -54,8 +49,8 @@ enum class EventKind : std::uint8_t {
 /// Display name for an event kind (used by SIM_CHECK messages).
 const char* to_string(EventKind kind);
 
-/// One scheduled event. Flat POD: the queue pools these by value, so an
-/// event costs no allocation and carries no destructor. `at`/`seq` are
+/// One scheduled event. Flat POD: the queue's heap holds these by value, so
+/// an event carries no allocation and no destructor. `at`/`seq` are
 /// assigned by the queue at push; the remaining fields are the payload the
 /// handler switches on (unused fields keep their defaults).
 struct Event {

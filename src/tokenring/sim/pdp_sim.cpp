@@ -189,7 +189,6 @@ void PdpSimulation::on_event(const Event& ev) {
       }
       return;
     case EventKind::kUser:
-    case EventKind::kTtpTokenHop:
       TR_EXPECTS_MSG(false, "event kind not handled by the PDP simulator");
       return;
   }

@@ -31,8 +31,7 @@
 // Medium motion is already lazy in this model: an idle ring schedules no
 // events at all (the circulating free token's position is computed
 // arithmetically when traffic appears — see maybe_capture_idle), so the
-// PDP simulator needs no frontier source; both engine modes run the same
-// typed-event path.
+// PDP simulator needs no frontier source and runs on queued events only.
 //
 // The simulator is a validation substrate: message sets accepted by
 // Theorem 4.1 must complete every message by its deadline here under
@@ -55,7 +54,7 @@ namespace tokenring::sim {
 
 /// One PDP token-ring simulation run over a message set. Built via
 /// make_simulator (config.hpp); uses config.pdp, ignores config.ttp/ttrt/
-/// sync_bandwidth_per_stream/engine.
+/// sync_bandwidth_per_stream.
 class PdpSimulation final : public Simulation, private EventHandler {
  public:
   PdpSimulation(msg::MessageSet set, SimConfig config);

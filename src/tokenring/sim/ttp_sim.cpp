@@ -53,13 +53,12 @@ TtpSimulation::TtpSimulation(msg::MessageSet set, SimConfig config)
   // Idle-lap fast-forward replaces a chain of per-visit adds with one
   // multiply, so it is reserved for runs that opted out of exact rotation
   // statistics and have nothing observable happening on an idle lap.
-  hibernate_ok_ = cfg_.engine == EngineMode::kFrontier &&
-                  !cfg_.collect_rotation_stats &&
+  hibernate_ok_ = !cfg_.collect_rotation_stats &&
                   cfg_.async_model == AsyncModel::kNone &&
                   cfg_.trace == nullptr;
 
   sim_.set_handler(this);
-  if (cfg_.engine == EngineMode::kFrontier) sim_.set_frontier(this);
+  sim_.set_frontier(this);
 }
 
 void TtpSimulation::update_ring_timing() {
@@ -82,9 +81,6 @@ int TtpSimulation::first_alive() const {
 
 void TtpSimulation::on_event(const Event& ev) {
   switch (ev.kind) {
-    case EventKind::kTtpTokenHop:
-      on_token_arrival(ev.station, ev.gen);
-      return;
     case EventKind::kFault:
       on_fault(fault_events_[static_cast<std::size_t>(ev.index)]);
       return;
@@ -124,22 +120,13 @@ Seconds TtpSimulation::frontier_time() const {
 
 void TtpSimulation::advance_frontier() {
   // Disarm first: if the generation went stale (a fault destroyed the
-  // token) the visit below aborts without re-arming, exactly like a stale
-  // queued hop event popping to a no-op.
+  // token) the visit below aborts without re-arming.
   token_live_ = false;
   on_token_arrival(token_next_, token_gen_);
 }
 
 void TtpSimulation::pass_token(int next, Seconds delay) {
   next_station_ = next;
-  if (cfg_.engine == EngineMode::kEager) {
-    Event ev;
-    ev.kind = EventKind::kTtpTokenHop;
-    ev.station = next;
-    ev.gen = token_generation_;
-    sim_.schedule_in(delay, ev);
-    return;
-  }
   token_live_ = true;
   token_at_ = sim_.now() + delay;
   token_next_ = next;
@@ -242,8 +229,8 @@ Seconds TtpSimulation::serve_stream(int station, LocalStream& stream,
 }
 
 void TtpSimulation::ring_outage(fault::FaultKind kind, Seconds outage) {
-  // Destroy the circulating token: stale pass events (or a stale frontier)
-  // abort via generation.
+  // Destroy the circulating token: a stale frontier (or retry event)
+  // aborts via generation.
   ++token_generation_;
   const Seconds now = sim_.now();
   recovering_until_ = std::max(recovering_until_, now + outage);

@@ -17,18 +17,15 @@
 //    one token transmission is charged per lap, so an idle rotation sums
 //    to Theta, matching the analysis.
 //
-// Engine modes (SimConfig::engine):
-//  * kFrontier (default): the token walk is a FrontierSource — the next
-//    arrival is a (time, station) pair advanced in place, so a hop costs
-//    no queue traffic and no allocation. Every visit performs bit-for-bit
-//    the same arithmetic (and RNG draws) as the eager walk, so metrics and
-//    traces are identical. With rotation statistics disabled
-//    (collect_rotation_stats = false, async kNone, no trace sink) the walk
-//    additionally fast-forwards whole idle laps in O(1) whenever no
-//    message is queued anywhere — the huge-ring/long-horizon mode.
-//  * kEager: every hop is a typed kTtpTokenHop event through the calendar
-//    queue — the original engine's shape, kept as the differential-test
-//    and benchmark reference.
+// The token walk is a FrontierSource: the next arrival is a (time,
+// station) pair advanced in place, so a hop costs no queue traffic and no
+// allocation; the event queue carries only kickoff, faults, recovery and
+// corruption retries. The walk reproduces, bit for bit, the metrics and
+// traces of a walk that queued one event per hop (pinned by the fixtures
+// under tests/fixtures/sim/). With rotation statistics disabled
+// (collect_rotation_stats = false, async kNone, no trace sink) the walk
+// additionally fast-forwards whole idle laps in O(1) whenever no message
+// is queued anywhere — the huge-ring/long-horizon mode.
 //
 // The paper's model hosts exactly one stream per station; this simulator
 // generalizes to any number (including zero) of streams per station — the
@@ -95,22 +92,21 @@ class TtpSimulation final : public Simulation,
     bool alive = true;                // false while crashed (bypassed)
   };
 
-  /// Typed-event dispatch (faults, kickoff, recovery, eager token hops).
+  /// Typed-event dispatch (faults, kickoff, recovery, corruption retry).
   void on_event(const Event& ev) override;
   /// FrontierSource: the token's next arrival, advanced lazily.
   Seconds frontier_time() const override;
   void advance_frontier() override;
 
   void on_token_arrival(int station, std::uint64_t generation);
-  /// Hand the token to `next`, `delay` seconds from now: a queued
-  /// kTtpTokenHop event (eager) or a frontier update (frontier). The
-  /// frontier path may fast-forward whole idle laps (see hibernate_ok_).
+  /// Hand the token to `next`, `delay` seconds from now by moving the
+  /// frontier; may fast-forward whole idle laps (see hibernate_ok_).
   void pass_token(int next, Seconds delay);
   /// Apply one fault from the plan with the FDDI recovery model.
   void on_fault(const fault::FaultEvent& event);
   /// Kill the ring for `outage`, then re-initialize: every TRT restarts and
-  /// the first alive station issues a fresh token (any in-flight token
-  /// event aborts via the generation bump).
+  /// the first alive station issues a fresh token (an in-flight frontier
+  /// or retry event aborts via the generation bump).
   void ring_outage(fault::FaultKind kind, Seconds outage);
   void crash_station(int station);
   void rejoin_station(int station);
@@ -151,17 +147,17 @@ class TtpSimulation final : public Simulation,
   /// Ring-dead-until time of the recovery in progress; faults landing
   /// inside it are absorbed (the ring is already down).
   Seconds recovering_until_ = 0.0;
-  /// Incremented whenever a fault destroys the circulating token; stale
-  /// in-flight token-pass events (or a stale frontier) compare their
-  /// captured generation and abort.
+  /// Incremented whenever a fault destroys the circulating token; a stale
+  /// frontier (or queued recovery/retry event) compares its captured
+  /// generation and aborts.
   std::uint64_t token_generation_ = 0;
-  // Frontier state (engine == kFrontier): the token's next arrival.
+  // Frontier state: the token's next arrival.
   bool token_live_ = false;
   Seconds token_at_ = 0.0;
   int token_next_ = 0;
   std::uint64_t token_gen_ = 0;
-  /// Idle-lap fast-forward is legal for this run (frontier engine, async
-  /// kNone, no trace sink, rotation stats off).
+  /// Idle-lap fast-forward is legal for this run (async kNone, no trace
+  /// sink, rotation stats off).
   bool hibernate_ok_ = false;
   /// Synchronous messages queued anywhere on the ring (hibernation gate).
   std::size_t total_queued_ = 0;

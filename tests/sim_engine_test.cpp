@@ -1,15 +1,20 @@
-// Engine-layer tests: the pooled-event calendar queue (exact (time, seq)
-// order, SIM_CHECK key validation, randomized differential check against a
-// reference heap), the simulator loop (clock, horizon, storm guard), the
-// frontier work source, and frontier-vs-eager engine equivalence for the
-// TTP simulator (bit-identical metrics, byte-identical JSONL traces).
+// Engine-layer tests: the event heap (exact (time, seq) order, SIM_CHECK
+// key validation, randomized differential check against a stable-sort
+// oracle), the simulator loop (clock, horizon, storm guard), the frontier
+// work source, and the TTP frontier walk replayed against metrics and a
+// JSONL trace recorded from the retired one-event-per-hop walk
+// (tests/fixtures/sim/README.md).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "tokenring/common/checks.hpp"
@@ -75,13 +80,14 @@ TEST(EventQueue, NegativeTimeRejected) {
 
 TEST(EventQueue, NonFiniteTimeRejectedNamingTheKind) {
   EventQueue q;
-  Event hop;
-  hop.kind = EventKind::kTtpTokenHop;
+  Event retry;
+  retry.kind = EventKind::kCorruptionRetry;
   try {
-    q.push(std::numeric_limits<double>::quiet_NaN(), hop);
+    q.push(std::numeric_limits<double>::quiet_NaN(), retry);
     FAIL() << "NaN key accepted";
   } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("ttp-token-hop"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("corruption-retry"),
+              std::string::npos)
         << e.what();
   }
   Event fault;
@@ -97,8 +103,8 @@ TEST(EventQueue, NonFiniteTimeRejectedNamingTheKind) {
 }
 
 TEST(EventQueue, PushEarlierThanCurrentWindowStillPopsInOrder) {
-  // Pop far enough to move the calendar window forward, then push an
-  // earlier event: it must come out first.
+  // Pop half the queue, then push an event earlier than everything left:
+  // it must come out first.
   EventQueue q;
   for (int i = 0; i < 100; ++i) q.push(1e-3 * (i + 1), user_event(i));
   for (int i = 0; i < 50; ++i) q.pop();
@@ -108,8 +114,7 @@ TEST(EventQueue, PushEarlierThanCurrentWindowStillPopsInOrder) {
 }
 
 TEST(EventQueue, FarFutureEventsMergeExactly) {
-  // Events far outside the near window live in the overflow heap; the pop
-  // order must still be globally exact.
+  // Keys fifteen orders of magnitude apart must still pop in exact order.
   EventQueue q;
   q.push(1e9, user_event(1));    // far future
   q.push(1e-6, user_event(0));   // near
@@ -121,61 +126,58 @@ TEST(EventQueue, FarFutureEventsMergeExactly) {
 }
 
 TEST(EventQueue, DifferentialAgainstReferenceHeap) {
-  // 10k random operations (pushes over wildly mixed time scales, same-time
-  // bursts, interleaved pops) against a trivially correct reference; the
-  // pop streams must agree exactly, sequence numbers included.
+  // 10k random operations against a trivially correct oracle: the pending
+  // events in insertion order, stable-sorted by time before each pop, so
+  // equal times come out first-in first-out. Times are drawn from a coarse
+  // grid (plus exact repeats of pending times) so most pops break a tie.
   struct Ref {
     double at;
     std::uint64_t seq;
     int index;
   };
-  const auto ref_less = [](const Ref& a, const Ref& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  };
+  const auto by_time = [](const Ref& a, const Ref& b) { return a.at < b.at; };
 
   EventQueue q;
-  std::vector<Ref> ref;
+  std::vector<Ref> pending;  // insertion order
   Rng rng(2024);
   std::uint64_t next_seq = 0;
   double low_water = 0.0;  // pops only move forward; pushes stay >= this
   int pushes = 0;
 
   for (int op = 0; op < 10'000; ++op) {
-    const double r = rng.uniform(0.0, 1.0);
-    if (r < 0.55 || q.empty()) {
-      // Push: mix of near, same-time bursts, and far-future keys.
+    if (rng.uniform(0.0, 1.0) < 0.55 || pending.empty()) {
       double at;
       const double kind = rng.uniform(0.0, 1.0);
-      if (kind < 0.2 && !ref.empty()) {
-        at = ref[static_cast<std::size_t>(rng.uniform_int(
-                     0, static_cast<std::int64_t>(ref.size()) - 1))]
-                 .at;  // exact duplicate time: exercises FIFO tie-break
-      } else if (kind < 0.8) {
-        at = low_water + rng.uniform(0.0, 1e-3);
+      if (kind < 0.3 && !pending.empty()) {
+        at = pending[static_cast<std::size_t>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(pending.size()) - 1))]
+                 .at;
+      } else if (kind < 0.9) {
+        at = low_water + 0.25e-3 * static_cast<double>(rng.uniform_int(0, 8));
       } else {
-        at = low_water + rng.uniform(0.0, 1e6);  // far heap
+        at = low_water + rng.uniform(0.0, 1e6);
       }
       q.push(at, user_event(pushes));
-      ref.push_back(Ref{at, next_seq++, pushes});
+      pending.push_back(Ref{at, next_seq++, pushes});
       ++pushes;
     } else {
-      const auto it = std::min_element(ref.begin(), ref.end(), ref_less);
+      std::stable_sort(pending.begin(), pending.end(), by_time);
+      const Ref want = pending.front();
       const Event got = q.pop();
-      EXPECT_EQ(got.index, it->index) << "op " << op;
-      EXPECT_EQ(got.seq, it->seq) << "op " << op;
-      EXPECT_EQ(got.at, it->at) << "op " << op;
-      low_water = it->at;
-      ref.erase(it);
+      EXPECT_EQ(got.index, want.index) << "op " << op;
+      EXPECT_EQ(got.seq, want.seq) << "op " << op;
+      EXPECT_EQ(got.at, want.at) << "op " << op;
+      low_water = want.at;
+      pending.erase(pending.begin());
     }
-    if (!ref.empty()) {
-      const auto it = std::min_element(ref.begin(), ref.end(), ref_less);
+    if (!pending.empty()) {
+      const auto it = std::min_element(pending.begin(), pending.end(), by_time);
       EXPECT_EQ(q.next_time(), it->at) << "op " << op;
     }
   }
   // Drain: the tails must agree too.
-  std::sort(ref.begin(), ref.end(), ref_less);
-  for (const Ref& want : ref) {
+  std::stable_sort(pending.begin(), pending.end(), by_time);
+  for (const Ref& want : pending) {
     const Event got = q.pop();
     ASSERT_EQ(got.index, want.index);
     ASSERT_EQ(got.seq, want.seq);
@@ -352,6 +354,10 @@ TEST(Simulator, FrontierCountsTowardStormGuard) {
 }
 
 // ---- engine equivalence -----------------------------------------------------
+//
+// The TTP walk used to queue one event per token hop. The fixtures were
+// recorded from that walk before it was deleted; the frontier walk must
+// reproduce them bit for bit.
 
 msg::MessageSet engine_set() {
   msg::MessageSet set;
@@ -361,81 +367,118 @@ msg::MessageSet engine_set() {
   return set;
 }
 
-SimConfig engine_config(EngineMode mode) {
+SimConfig engine_config(double horizon_periods = 8.0) {
   analysis::TtpParams p;
   p.ring = net::fddi_ring(8);
   p.frame = net::paper_frame_format();
   p.async_frame = net::paper_frame_format();
-  auto cfg = make_sim_config(engine_set(), p, mbps(100), 8.0);
-  cfg.engine = mode;
+  return make_sim_config(engine_set(), p, mbps(100), horizon_periods);
+}
+
+SimConfig poisson_jitter_config() {
+  auto cfg = engine_config();
+  cfg.async_model = AsyncModel::kPoisson;
+  cfg.async_frames_per_second = 300.0;
+  cfg.arrival_jitter = 0.3;
+  cfg.worst_case_phasing = false;
+  cfg.seed = 77;
   return cfg;
 }
 
-void expect_bit_identical(const SimMetrics& a, const SimMetrics& b) {
-  EXPECT_EQ(a.messages_released, b.messages_released);
-  EXPECT_EQ(a.messages_completed, b.messages_completed);
-  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-  EXPECT_EQ(a.async_frames_sent, b.async_frames_sent);
-  // Bit-identical, not approximately equal: the frontier walk performs the
-  // same arithmetic as the eager walk.
-  EXPECT_EQ(a.response_time.mean(), b.response_time.mean());
-  EXPECT_EQ(a.response_time.max(), b.response_time.max());
-  EXPECT_EQ(a.token_rotation.mean(), b.token_rotation.mean());
-  EXPECT_EQ(a.token_rotation.max(), b.token_rotation.max());
+std::string read_fixture(const std::string& name) {
+  const std::string path = std::string(TOKENRING_SIM_FIXTURES) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// One run's metrics in the fixtures' format: one `name value` line per
+/// field, doubles as hex floats so equality is bit equality.
+std::string metrics_record(const SimConfig& cfg) {
+  const auto sim = make_simulator(engine_set(), cfg);
+  const SimMetrics m = sim->run();
+  std::string out;
+  const auto line = [&out](const char* name, const char* fmt, auto value) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf, fmt, value);
+    out += std::string(name) + " " + buf + "\n";
+  };
+  line("messages_released", "%zu", m.messages_released);
+  line("messages_completed", "%zu", m.messages_completed);
+  line("deadline_misses", "%zu", m.deadline_misses);
+  line("async_frames_sent", "%zu", m.async_frames_sent);
+  line("max_queue_depth", "%zu", m.max_queue_depth);
+  line("response_time.count", "%zu", m.response_time.count());
+  line("response_time.mean", "%a", m.response_time.mean());
+  line("response_time.max", "%a", m.response_time.max());
+  line("response_time.variance", "%a", m.response_time.variance());
+  line("normalized_response.mean", "%a", m.normalized_response.mean());
+  line("normalized_response.max", "%a", m.normalized_response.max());
+  line("token_rotation.count", "%zu", m.token_rotation.count());
+  line("token_rotation.mean", "%a", m.token_rotation.mean());
+  line("token_rotation.min", "%a", m.token_rotation.min());
+  line("token_rotation.max", "%a", m.token_rotation.max());
+  line("max_intervisit", "%a", sim->max_intervisit());
+  return out;
+}
+
+std::string trace_of(const SimConfig& base) {
+  std::ostringstream os;
+  obs::JsonlTraceSink sink(os);
+  auto cfg = base;
+  cfg.trace = &sink;
+  run_simulation(engine_set(), cfg);
+  sink.flush();
+  return os.str();
+}
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 TEST(EngineEquivalence, FrontierMatchesEagerBitForBit) {
-  const auto eager = run_simulation(engine_set(), engine_config(EngineMode::kEager));
-  const auto front =
-      run_simulation(engine_set(), engine_config(EngineMode::kFrontier));
-  expect_bit_identical(front, eager);
+  EXPECT_EQ(metrics_record(engine_config()),
+            read_fixture("eager_metrics_plain.txt"));
 }
 
 TEST(EngineEquivalence, HoldsUnderPoissonAsyncAndJitter) {
-  auto eager_cfg = engine_config(EngineMode::kEager);
-  eager_cfg.async_model = AsyncModel::kPoisson;
-  eager_cfg.async_frames_per_second = 300.0;
-  eager_cfg.arrival_jitter = 0.3;
-  eager_cfg.worst_case_phasing = false;
-  eager_cfg.seed = 77;
-  auto front_cfg = eager_cfg;
-  front_cfg.engine = EngineMode::kFrontier;
-  expect_bit_identical(run_simulation(engine_set(), front_cfg),
-                       run_simulation(engine_set(), eager_cfg));
+  EXPECT_EQ(metrics_record(poisson_jitter_config()),
+            read_fixture("eager_metrics_poisson_jitter.txt"));
 }
 
 TEST(EngineEquivalence, GoldenJsonlTracesAreByteIdentical) {
   // The full JSONL trace stream — every record, every field, formatted —
-  // must not differ by a single byte between engines.
-  const auto trace_of = [&](EngineMode mode) {
-    std::ostringstream os;
-    obs::JsonlTraceSink sink(os);
-    auto cfg = engine_config(mode);
-    cfg.trace = &sink;
-    run_simulation(engine_set(), cfg);
-    sink.flush();
-    return os.str();
-  };
-  const std::string eager = trace_of(EngineMode::kEager);
-  const std::string front = trace_of(EngineMode::kFrontier);
-  ASSERT_GT(eager.size(), 10'000u);  // a real trace, not an empty file
-  EXPECT_TRUE(front == eager) << "traces diverge";
+  // must not differ by a single byte from the recording. The short run is
+  // stored whole; the full 8-period run (739 KB) is pinned by its length
+  // and FNV-1a digest.
+  const std::string want = read_fixture("eager_trace_quarter.jsonl");
+  const std::string got = trace_of(engine_config(0.25));
+  ASSERT_GT(want.size(), 10'000u);  // a real trace, not an empty file
+  EXPECT_TRUE(got == want) << "traces diverge";
+  const std::string full = trace_of(engine_config());
+  EXPECT_EQ(full.size(), 739'172u);
+  EXPECT_EQ(fnv1a64(full), 0xd011c534555ea206ull);
 }
 
 TEST(EngineEquivalence, EventCountsMatchWithoutFaults) {
-  const auto e = make_simulator(engine_set(), engine_config(EngineMode::kEager));
-  const auto f =
-      make_simulator(engine_set(), engine_config(EngineMode::kFrontier));
-  const auto em = e->run();
-  const auto fm = f->run();
-  EXPECT_EQ(em.messages_completed, fm.messages_completed);
+  // The recorded walk's counts (eager_metrics_plain.txt).
+  const auto m = make_simulator(engine_set(), engine_config())->run();
+  EXPECT_EQ(m.messages_released, 42u);
+  EXPECT_EQ(m.messages_completed, 41u);
+  EXPECT_EQ(m.deadline_misses, 0u);
 }
 
 TEST(EngineEquivalence, HibernationPreservesCompletionMetrics) {
   // collect_rotation_stats = false + async kNone + no trace licenses the
   // idle-lap fast-forward; completion counts and deadline verdicts must
   // survive it (response times may differ only by float re-association).
-  auto slow = engine_config(EngineMode::kFrontier);
+  auto slow = engine_config();
   slow.async_model = AsyncModel::kNone;
   auto fast = slow;
   fast.collect_rotation_stats = false;
