@@ -38,7 +38,7 @@ std::terminate_handler previous_terminate = nullptr;
 void CliFlags::declare(const std::string& name, const std::string& default_value,
                        const std::string& help) {
   TR_EXPECTS_MSG(!flags_.count(name), "flag declared twice: " + name);
-  flags_[name] = Flag{default_value, help};
+  flags_[name] = Flag{default_value, default_value, help};
 }
 
 CliFlags::ParseOutcome CliFlags::parse_detailed(int argc, char** argv) {
@@ -79,7 +79,7 @@ CliFlags::ParseOutcome CliFlags::parse_detailed(int argc, char** argv) {
     }
     if (!have_value) {
       // Boolean flags (default "true"/"false") may appear bare: `--profile`.
-      const std::string& dflt = it->second.value;
+      const std::string& dflt = it->second.default_value;
       const bool boolean_like = dflt == "true" || dflt == "false";
       const bool next_is_flag =
           i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0;
@@ -140,7 +140,7 @@ void CliFlags::print_usage(const std::string& program) const {
   std::fprintf(stderr, "usage: %s [--flag=value ...]\n", program.c_str());
   for (const auto& [name, flag] : flags_) {
     std::fprintf(stderr, "  --%-24s %s (default: %s)\n", name.c_str(),
-                 flag.help.c_str(), flag.value.c_str());
+                 flag.help.c_str(), flag.default_value.c_str());
   }
 }
 

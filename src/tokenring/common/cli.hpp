@@ -47,12 +47,13 @@ class CliFlags {
   /// Used to echo the effective configuration into run manifests.
   std::vector<std::pair<std::string, std::string>> items() const;
 
-  /// Print usage for all declared flags.
+  /// Print usage for all declared flags, each with its declared default.
   void print_usage(const std::string& program) const;
 
  private:
   struct Flag {
-    std::string value;
+    std::string value;          ///< current value (the default until set)
+    std::string default_value;  ///< as declared; shown by --help
     std::string help;
   };
   std::map<std::string, Flag> flags_;

@@ -13,9 +13,9 @@
 
 namespace tokenring::sim {
 
-/// What an Event means to its handler. The k{Pdp,Ttp} kinds are dispatched
-/// by the respective simulation's on_event; kUser is free for engine tests
-/// and ad-hoc schedules.
+/// What an Event means to its handler; kUser is free for engine tests and
+/// ad-hoc schedules. PDP medium actions live in the PDP medium slot, never
+/// in the queue; TTP guards its queued ones with the token generation.
 enum class EventKind : std::uint8_t {
   /// Generic event; `index`/`value` carry whatever the test wants.
   kUser,
@@ -24,25 +24,25 @@ enum class EventKind : std::uint8_t {
   /// Apply fault plan entry `index` (both protocols).
   kFault,
   /// Ring recovery completed; re-issue the token / re-arbitrate
-  /// (generation-guarded, both protocols).
+  /// (both protocols).
   kRecovery,
   /// Corrupted frame's wasted slot elapsed; retransmit from where the
-  /// medium/token stood (generation-guarded, both protocols).
+  /// medium/token stood (both protocols).
   kCorruptionRetry,
   /// PDP synchronous release of stream `index` at `station`.
   kPdpArrival,
   /// PDP Poisson async frame arrival at `station`.
   kPdpAsyncArrival,
-  /// PDP idle-token capture completes at `station` (generation-guarded).
+  /// PDP idle-token capture completes at `station`.
   kPdpIdleCapture,
   /// PDP token walk reached winner `station`; `index` != 0 means the
-  /// winner transmits an async frame (generation-guarded).
+  /// winner transmits an async frame.
   kPdpWalkDone,
   /// PDP sync frame's last bit sent: `station`, stream slot `index`,
-  /// `value` = chunk bits (generation-guarded).
+  /// `value` = chunk bits.
   kPdpSyncFrameDone,
   /// PDP async frame's last bit sent: `station`, `value` = effective
-  /// medium occupancy [s] (generation-guarded).
+  /// medium occupancy [s].
   kPdpAsyncFrameDone,
 };
 
@@ -51,15 +51,15 @@ const char* to_string(EventKind kind);
 
 /// One scheduled event. Flat POD: the queue's heap holds these by value, so
 /// an event carries no allocation and no destructor. `at`/`seq` are
-/// assigned by the queue at push; the remaining fields are the payload the
-/// handler switches on (unused fields keep their defaults).
+/// assigned by the queue at push (or the PDP medium slot); the remaining
+/// fields are the payload the handler switches on (unused ones default).
 struct Event {
   Seconds at = 0.0;       ///< absolute firing time, set by the queue
   std::uint64_t seq = 0;  ///< FIFO tie-break within equal `at`, set by the queue
   EventKind kind = EventKind::kUser;
   std::int32_t station = -1;  ///< primary station operand
   std::int32_t index = -1;    ///< stream slot / fault-plan index
-  std::uint64_t gen = 0;      ///< token generation the event belongs to
+  std::uint64_t gen = 0;      ///< TTP token generation the event belongs to
   double value = 0.0;         ///< kind-specific scalar (bits or seconds)
 };
 

@@ -2,9 +2,9 @@
 //
 // A binary min-heap of typed events keyed by (time, sequence): ties in time
 // fire in insertion order, which keeps simulations deterministic for a
-// fixed seed. The simulators queue only releases, frame completions and
-// faults (the TTP token walk is a FrontierSource, see simulator.hpp), so
-// the queue stays shallow and a plain heap serves it with no set-up cost.
+// fixed seed. The TTP token walk and the PDP medium are FrontierSources
+// (see simulator.hpp), so the queue holds little beyond releases and
+// faults; it stays shallow and a plain heap serves it with no set-up cost.
 
 #pragma once
 
@@ -30,6 +30,11 @@ class EventQueue {
   std::size_t size() const { return heap_.size(); }
   /// Firing time of the earliest event. Requires non-empty.
   Seconds next_time() const;
+  /// Sequence number of the earliest event. Requires non-empty.
+  std::uint64_t next_seq() const { return heap_.front().seq; }
+
+  /// Reserve a sequence number for work held outside the heap.
+  std::uint64_t take_seq() { return next_seq_++; }
 
   /// Remove and return the earliest event. Requires non-empty.
   Event pop();

@@ -7,9 +7,12 @@
 
 namespace tokenring::sim {
 
-void record_run_observability(const SimMetrics& metrics, std::size_t events) {
+void record_run_observability(const SimMetrics& metrics,
+                              const Simulator& engine) {
   static const obs::Counter runs("sim.runs");
   static const obs::Counter sim_events("sim.events");
+  static const obs::Counter queued("sim.queue_events");
+  static const obs::Counter frontier("sim.frontier_steps");
   static const obs::Counter released("sim.messages_released");
   static const obs::Counter completed("sim.messages_completed");
   static const obs::Counter misses("sim.deadline_misses");
@@ -18,7 +21,9 @@ void record_run_observability(const SimMetrics& metrics, std::size_t events) {
   static const obs::Counter recoveries("sim.recovery_invocations");
   static const obs::Gauge queue_depth("sim.max_queue_depth");
   runs.add();
-  sim_events.add(events);
+  sim_events.add(engine.events_executed());
+  queued.add(engine.queue_events());
+  frontier.add(engine.frontier_steps());
   released.add(metrics.messages_released);
   completed.add(metrics.messages_completed);
   misses.add(metrics.deadline_misses);

@@ -10,6 +10,7 @@
 #include "tokenring/common/stats.hpp"
 #include "tokenring/common/units.hpp"
 #include "tokenring/fault/plan.hpp"
+#include "tokenring/sim/simulator.hpp"
 
 namespace tokenring::sim {
 
@@ -119,9 +120,11 @@ struct SimMetrics {
 };
 
 /// Fold one finished run into the process-wide obs counters (sim.runs,
-/// sim.events, message/rotation/fault tallies, the queue-depth gauge). Both
-/// simulators call this exactly once at the end of run(), so instrumentation
-/// costs one bump per trial, never per event.
-void record_run_observability(const SimMetrics& metrics, std::size_t events);
+/// sim.queue_events + sim.frontier_steps = sim.events, message/rotation/
+/// fault tallies, the queue-depth gauge). Both simulators call this exactly
+/// once at the end of run(), so instrumentation costs one bump per trial,
+/// never per event.
+void record_run_observability(const SimMetrics& metrics,
+                              const Simulator& engine);
 
 }  // namespace tokenring::sim

@@ -1,6 +1,7 @@
 #include "tokenring/sim/pdp_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -47,6 +48,8 @@ PdpSimulation::PdpSimulation(msg::MessageSet set, SimConfig config)
     rank[order[r]] = static_cast<int>(r);
   }
 
+  pending_ranks_.assign((set_.size() + 63) / 64, 0);
+  rank_station_.resize(set_.size());
   for (std::size_t i = 0; i < set_.size(); ++i) {
     const auto& s = set_[i];
     TR_EXPECTS_MSG(s.station >= 0 && s.station < n,
@@ -54,12 +57,14 @@ PdpSimulation::PdpSimulation(msg::MessageSet set, SimConfig config)
     LocalStream local;
     local.spec = s;
     local.priority = rank[i];
+    rank_station_[static_cast<std::size_t>(rank[i])] = s.station;
     stations_[static_cast<std::size_t>(s.station)].streams.push_back(local);
   }
 
   token_time_ = cfg_.pdp.ring.token_time(cfg_.bandwidth);
   update_ring_timing();
   sim_.set_handler(this);
+  sim_.set_frontier(this);
 }
 
 void PdpSimulation::update_ring_timing() {
@@ -84,8 +89,25 @@ int PdpSimulation::first_alive() const {
 
 Seconds PdpSimulation::hops_time(int from, int to) const {
   const int n = cfg_.pdp.ring.num_stations;
-  const int hops = ((to - from - 1) % n + n) % n + 1;  // 1..n (self = n)
+  int hops = to - from;  // 1..n (self = n)
+  if (hops <= 0) hops += n;
   return static_cast<double>(hops) * hop_ + token_time_;
+}
+
+std::size_t PdpSimulation::advance_frontier() {
+  // Disarm first: the action may arm the next one.
+  const Event ev = medium_;
+  medium_.at = std::numeric_limits<Seconds>::infinity();
+  medium_steps_ = 1;
+  on_event(ev);
+  return medium_steps_;
+}
+
+void PdpSimulation::arm_medium(Seconds at, Event ev) {
+  TR_EXPECTS_MSG(at >= sim_.now(), "cannot arm the medium in the past");
+  ev.at = at;
+  ev.seq = sim_.take_seq();
+  medium_ = ev;
 }
 
 void PdpSimulation::on_event(const Event& ev) {
@@ -101,37 +123,30 @@ void PdpSimulation::on_event(const Event& ev) {
       return;
     }
     case EventKind::kPdpIdleCapture: {
-      if (ev.gen != token_generation_) return;  // token destroyed mid-walk
-      capture_pending_ = false;
       // Arbitrate among everything pending now (the walk collected bids).
       bool is_async = false;
       const auto winner = pick_winner(ev.station, is_async);
       if (winner) {
         start_frame(*winner, is_async);
       } else {
-        medium_busy_ = false;
         idle_position_ = ev.station;
         idle_since_ = sim_.now();
       }
       return;
     }
     case EventKind::kRecovery: {
-      if (ev.gen != token_generation_) return;  // superseded by newer fault
       const int resume = first_alive();
       if (resume < 0) return;  // every station crashed: the ring stays dark
       release_medium(resume);
       return;
     }
     case EventKind::kCorruptionRetry:
-      if (ev.gen != token_generation_) return;
       release_medium(medium_station_);
       return;
     case EventKind::kPdpWalkDone:
-      if (ev.gen != token_generation_) return;
       start_frame(ev.station, ev.index != 0);
       return;
     case EventKind::kPdpAsyncFrameDone: {
-      if (ev.gen != token_generation_) return;  // frame destroyed in flight
       ++metrics_.async_frames_sent;
       if (cfg_.async_model == AsyncModel::kPoisson) {
         --stations_[static_cast<std::size_t>(ev.station)].async_pending;
@@ -142,7 +157,6 @@ void PdpSimulation::on_event(const Event& ev) {
       return;
     }
     case EventKind::kPdpSyncFrameDone: {
-      if (ev.gen != token_generation_) return;  // frame destroyed in flight
       const int station = ev.station;
       const auto serve_idx = static_cast<std::size_t>(ev.index);
       const Bits chunk = ev.value;
@@ -162,14 +176,14 @@ void PdpSimulation::on_event(const Event& ev) {
                response);
         }
         local.queue.pop_front();
+        if (local.queue.empty()) set_pending(local.priority, false);
       }
 
-      if (cfg_.pdp.variant == analysis::PdpVariant::kModified8025 &&
-          best_local_priority(stn) >= 0) {
+      if (cfg_.pdp.variant == analysis::PdpVariant::kModified8025) {
         // Keep the medium while still the highest-priority active station.
-        bool is_async2 = false;
-        const auto winner = pick_winner(station, is_async2);
-        if (winner && *winner == station && !is_async2) {
+        const int best = lowest_pending_rank();
+        if (best >= 0 && rank_station_[static_cast<std::size_t>(best)] ==
+                             station) {
           start_frame(station, false);
           return;
         }
@@ -181,7 +195,6 @@ void PdpSimulation::on_event(const Event& ev) {
       on_fault(fault_events_[static_cast<std::size_t>(ev.index)]);
       return;
     case EventKind::kKickoff:
-      if (ev.gen != token_generation_) return;  // a fault at t=0 beat us
       if (cfg_.async_model == AsyncModel::kSaturating) {
         start_frame(ev.station, /*is_async=*/true);
       } else {
@@ -223,6 +236,7 @@ void PdpSimulation::on_arrival(int station, std::size_t stream_idx) {
   if (st.alive) {
     local.queue.push_back(
         PendingMessage{sim_.now(), local.spec.payload_bits});
+    set_pending(local.priority, true);
     metrics_.on_release(station);
     metrics_.on_queue_depth(local.queue.size());
     emit(cfg_.trace, sim_.now(), TraceEventKind::kMessageArrival, station,
@@ -242,7 +256,7 @@ void PdpSimulation::maybe_capture_idle(int station) {
   // passes here, paying one token transmission for the capture/release.
   // This is the frontier idiom avant la lettre: no events circulate on an
   // idle ring, the token position is pure arithmetic.
-  if (medium_busy_ || capture_pending_) return;
+  if (medium_busy()) return;
   const int n = cfg_.pdp.ring.num_stations;
   const Seconds lap = static_cast<double>(n) * hop_;
   const Seconds elapsed = sim_.now() - idle_since_;
@@ -254,26 +268,14 @@ void PdpSimulation::maybe_capture_idle(int station) {
   const int dist = ((station - pos) % n + n) % n;
   Seconds capture = pos_time + static_cast<double>(dist) * hop_ + token_time_;
   if (capture < sim_.now()) capture += lap;  // just missed this pass
-  medium_busy_ = true;
-  capture_pending_ = true;
-  Event ev;
-  ev.kind = EventKind::kPdpIdleCapture;
-  ev.station = station;
-  ev.gen = token_generation_;
-  sim_.schedule_at(capture, ev);
+  arm_medium(capture, {.kind = EventKind::kPdpIdleCapture, .station = station});
 }
 
 void PdpSimulation::ring_outage(fault::FaultKind kind, Seconds outage) {
-  ++token_generation_;
-  medium_busy_ = true;  // the ring is dead until recovery completes
-  capture_pending_ = false;
   const Seconds now = sim_.now();
   recovering_until_ = std::max(recovering_until_, now + outage);
   metrics_.on_fault(kind, now, now + outage);
-  Event ev;
-  ev.kind = EventKind::kRecovery;
-  ev.gen = token_generation_;
-  sim_.schedule_in(outage, ev);
+  arm_medium(now + outage, {.kind = EventKind::kRecovery});
 }
 
 void PdpSimulation::crash_station(int station) {
@@ -298,6 +300,7 @@ void PdpSimulation::crash_station(int station) {
       }
     }
     local.queue.clear();
+    set_pending(local.priority, false);
   }
 }
 
@@ -335,26 +338,20 @@ void PdpSimulation::on_fault(const fault::FaultEvent& event) {
                   fault::pdp_duplicate_outage(cfg_.pdp, cfg_.bandwidth));
       return;
     case fault::FaultKind::kFrameCorruption: {
-      if (now < recovering_until_ || !medium_busy_) {
-        // Nothing valid in flight to corrupt (idle medium, or the ring is
-        // already down recovering): the fault is absorbed.
+      if (now < recovering_until_ || !medium_busy()) {
+        // Nothing valid in flight to corrupt (idle or dark medium, or the
+        // ring is already down recovering): the fault is absorbed.
         metrics_.on_fault(event.kind, now, now);
         return;
       }
       // The frame in flight fails its FCS; its slot is wasted, the sender
-      // retransmits (the chunk stays queued because the generation bump
-      // aborts the in-flight completion event).
-      ++token_generation_;
-      capture_pending_ = false;
-      medium_busy_ = true;
+      // retransmits (the chunk stays queued: the retry replaces the
+      // frame's completion in the medium slot).
       const Seconds outage =
           fault::pdp_corruption_outage(cfg_.pdp, cfg_.bandwidth);
       recovering_until_ = std::max(recovering_until_, now + outage);
       metrics_.on_fault(event.kind, now, now + outage);
-      Event ev;
-      ev.kind = EventKind::kCorruptionRetry;
-      ev.gen = token_generation_;
-      sim_.schedule_in(outage, ev);
+      arm_medium(now + outage, {.kind = EventKind::kCorruptionRetry});
       return;
     }
     case fault::FaultKind::kStationCrash:
@@ -366,30 +363,30 @@ void PdpSimulation::on_fault(const fault::FaultEvent& event) {
   }
 }
 
-int PdpSimulation::best_local_priority(const Station& st) const {
-  int best = std::numeric_limits<int>::max();
-  for (const auto& local : st.streams) {
-    if (!local.queue.empty()) best = std::min(best, local.priority);
+int PdpSimulation::lowest_pending_rank() const {
+  for (std::size_t w = 0; w < pending_ranks_.size(); ++w) {
+    if (pending_ranks_[w] != 0) {
+      return static_cast<int>(w * 64) + std::countr_zero(pending_ranks_[w]);
+    }
   }
-  return best == std::numeric_limits<int>::max() ? -1 : best;
+  return -1;
+}
+
+void PdpSimulation::set_pending(int rank, bool pending) {
+  const auto r = static_cast<std::size_t>(rank);
+  const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+  pending_ranks_[r / 64] = pending ? pending_ranks_[r / 64] | bit
+                                   : pending_ranks_[r / 64] & ~bit;
 }
 
 std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) const {
   // Highest-priority pending synchronous frame wins; the tie-break is
-  // already encoded in the global priority ranks.
-  std::optional<int> best;
-  int best_priority = std::numeric_limits<int>::max();
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (!stations_[i].alive) continue;
-    const int p = best_local_priority(stations_[i]);
-    if (p >= 0 && p < best_priority) {
-      best_priority = p;
-      best = static_cast<int>(i);
-    }
-  }
-  if (best) {
+  // already encoded in the global priority ranks. Only alive stations hold
+  // queued messages (a crash clears its queues).
+  const int best = lowest_pending_rank();
+  if (best >= 0) {
     is_async = false;
-    return best;
+    return rank_station_[static_cast<std::size_t>(best)];
   }
   const int n = cfg_.pdp.ring.num_stations;
   switch (cfg_.async_model) {
@@ -398,8 +395,8 @@ std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) const {
     case AsyncModel::kSaturating:
       // Every alive station always has async frames: first alive station
       // downstream.
-      for (int d = 1; d <= n; ++d) {
-        const int candidate = (after + d) % n;
+      for (int d = 1, candidate = after; d <= n; ++d) {
+        if (++candidate == n) candidate = 0;
         if (stations_[static_cast<std::size_t>(candidate)].alive) {
           is_async = true;
           return candidate;
@@ -408,8 +405,8 @@ std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) const {
       return std::nullopt;
     case AsyncModel::kPoisson:
       // First downstream alive station with a queued async frame.
-      for (int d = 1; d <= n; ++d) {
-        const int candidate = (after + d) % n;
+      for (int d = 1, candidate = after; d <= n; ++d) {
+        if (++candidate == n) candidate = 0;
         const auto& st = stations_[static_cast<std::size_t>(candidate)];
         if (st.alive && st.async_pending > 0) {
           is_async = true;
@@ -423,36 +420,49 @@ std::optional<int> PdpSimulation::pick_winner(int after, bool& is_async) const {
 
 void PdpSimulation::release_medium(int station) {
   bool is_async = false;
-  const auto winner = pick_winner(station, is_async);
+  auto winner = pick_winner(station, is_async);
   if (!winner) {
-    medium_busy_ = false;
     idle_position_ = station;
     idle_since_ = sim_.now();
     return;
   }
-  medium_busy_ = true;
-  Event ev;
-  ev.kind = EventKind::kPdpWalkDone;
-  ev.station = *winner;
-  ev.index = is_async ? 1 : 0;
-  ev.gen = token_generation_;
-  sim_.schedule_in(hops_time(station, *winner), ev);
+  Seconds t = sim_.now();
+  if (is_async && cfg_.async_model == AsyncModel::kSaturating) {
+    // Saturating async, no sync frame pending: only a queued event can
+    // change the arbitration, so run whole walk + frame cycles here, with
+    // the sums (t + walk, then + occupancy) and records of the one-step
+    // path. A cycle completing at or after the next queued event (a tie
+    // goes by seq) or past the horizon is left to the slot.
+    const Seconds occupancy =
+        std::max(cfg_.pdp.frame.frame_time(cfg_.bandwidth), theta_);
+    const Seconds stop = sim_.next_queued_time();
+    for (;;) {
+      const Seconds done = t + hops_time(station, *winner) + occupancy;
+      if (!(done < stop) || done > cfg_.horizon) break;
+      medium_station_ = *winner;
+      ++metrics_.async_frames_sent;
+      emit(cfg_.trace, done, TraceEventKind::kAsyncFrame, *winner, occupancy);
+      medium_steps_ += 2;
+      station = *winner;
+      t = done;
+      winner = pick_winner(station, is_async);
+    }
+  }
+  arm_medium(t + hops_time(station, *winner), {.kind = EventKind::kPdpWalkDone,
+                                               .station = *winner,
+                                               .index = is_async ? 1 : 0});
 }
 
 void PdpSimulation::start_frame(int station, bool is_async) {
-  medium_busy_ = true;
   medium_station_ = station;
   const auto& frame = cfg_.pdp.frame;
 
   if (is_async) {
     const Seconds effective =
         std::max(frame.frame_time(cfg_.bandwidth), theta_);
-    Event ev;
-    ev.kind = EventKind::kPdpAsyncFrameDone;
-    ev.station = station;
-    ev.gen = token_generation_;
-    ev.value = effective;
-    sim_.schedule_in(effective, ev);
+    arm_medium(sim_.now() + effective, {.kind = EventKind::kPdpAsyncFrameDone,
+                                        .station = station,
+                                        .value = effective});
     return;
   }
 
@@ -478,13 +488,11 @@ void PdpSimulation::start_frame(int station, bool is_async) {
   emit(cfg_.trace, sim_.now(), TraceEventKind::kSyncFrameStart, station,
        effective);
 
-  Event ev;
-  ev.kind = EventKind::kPdpSyncFrameDone;
-  ev.station = station;
-  ev.index = static_cast<std::int32_t>(serve_idx);
-  ev.gen = token_generation_;
-  ev.value = chunk;
-  sim_.schedule_in(effective, ev);
+  arm_medium(sim_.now() + effective,
+             {.kind = EventKind::kPdpSyncFrameDone,
+              .station = station,
+              .index = static_cast<std::int32_t>(serve_idx),
+              .value = chunk});
 }
 
 SimMetrics PdpSimulation::run() {
@@ -521,12 +529,7 @@ SimMetrics PdpSimulation::run() {
   // priority-inversion blocking of Lemma 4.1 (sync frames queued at t=0
   // must wait for a lower-priority frame already committed).
   const int kickoff = cfg_.pdp.ring.num_stations - 1;
-  medium_busy_ = true;
-  Event ev;
-  ev.kind = EventKind::kKickoff;
-  ev.station = kickoff;
-  ev.gen = token_generation_;
-  sim_.schedule_at(0.0, ev);
+  arm_medium(0.0, {.kind = EventKind::kKickoff, .station = kickoff});
 
   sim_.run_until(cfg_.horizon);
 
@@ -541,7 +544,7 @@ SimMetrics PdpSimulation::run() {
       }
     }
   }
-  record_run_observability(metrics_, sim_.events_executed());
+  record_run_observability(metrics_, sim_);
   return metrics_;
 }
 

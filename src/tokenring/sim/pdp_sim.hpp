@@ -28,11 +28,16 @@
 //    a station always contends with the highest priority among its pending
 //    messages, exactly as the reservation field does.
 //
-// Medium motion is already lazy in this model: an idle ring schedules no
-// events at all (the circulating free token's position is computed
-// arithmetically when traffic appears — see maybe_capture_idle), so the
-// PDP simulator needs no frontier source and runs on queued events only.
-//
+// The medium is a FrontierSource: at most one medium action (kickoff, walk,
+// frame completion, idle capture, recovery, corruption retry) is pending,
+// so it lives in one slot off the event heap, and a fault overwrites it.
+// The slot takes its sequence number from the queue when armed, so ties
+// with queued releases and faults fire in heap order. An idle ring arms
+// nothing (see maybe_capture_idle). Arbitration is the lowest set bit of a
+// bitset of pending DM ranks; saturating async traffic with no sync frame
+// pending is fast-forwarded in release_medium. DESIGN.md §4i; outputs are
+// pinned bit for bit by tests/fixtures/sim/pdp_*.txt.
+
 // The simulator is a validation substrate: message sets accepted by
 // Theorem 4.1 must complete every message by its deadline here under
 // worst-case phasing and saturating async load.
@@ -41,6 +46,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -55,7 +61,9 @@ namespace tokenring::sim {
 /// One PDP token-ring simulation run over a message set. Built via
 /// make_simulator (config.hpp); uses config.pdp, ignores config.ttp/ttrt/
 /// sync_bandwidth_per_stream.
-class PdpSimulation final : public Simulation, private EventHandler {
+class PdpSimulation final : public Simulation,
+                            private EventHandler,
+                            private FrontierSource {
  public:
   PdpSimulation(msg::MessageSet set, SimConfig config);
 
@@ -79,15 +87,21 @@ class PdpSimulation final : public Simulation, private EventHandler {
     bool alive = true;               // false while crashed (bypassed)
   };
 
-  /// Typed-event dispatch (the old per-event closures, one switch).
+  /// Typed-event dispatch: queued events and medium actions, one switch.
   void on_event(const Event& ev) override;
+  /// FrontierSource: the medium slot.
+  Seconds frontier_time() const override { return medium_.at; }
+  std::uint64_t frontier_seq() const override { return medium_.seq; }
+  std::size_t advance_frontier() override;
+  /// Arm the medium slot with `ev` at `at`, replacing any pending action.
+  void arm_medium(Seconds at, Event ev);
 
   void schedule_arrival(int station, std::size_t stream_idx, Seconds at);
   void on_arrival(int station, std::size_t stream_idx);
   /// Apply one fault from the plan with the 802.5 recovery model.
   void on_fault(const fault::FaultEvent& event);
   /// Kill the ring for `outage`, then re-arbitrate from the first alive
-  /// station (destroys any in-flight frame/token via the generation bump).
+  /// station (the recovery replaces any in-flight frame or token walk).
   void ring_outage(fault::FaultKind kind, Seconds outage);
   void crash_station(int station);
   void rejoin_station(int station);
@@ -99,13 +113,16 @@ class PdpSimulation final : public Simulation, private EventHandler {
   void schedule_async_arrival(int station);
   /// A station gained traffic while the ring may be idle: arrange capture.
   void maybe_capture_idle(int station);
-  /// Best (lowest-rank) pending stream at `station`; -1 if none.
-  int best_local_priority(const Station& st) const;
+  /// Most urgent (lowest) rank with a queued message; -1 if none.
+  int lowest_pending_rank() const;
+  /// Record whether the stream of `rank` has a queued message.
+  void set_pending(int rank, bool pending);
   /// Pick the station whose head frame should transmit next; sync first by
   /// priority, else (per the async model) an async-ready station after
   /// `after`.
   std::optional<int> pick_winner(int after, bool& is_async) const;
-  /// Medium became free at `station`; arbitrate and launch the next frame.
+  /// Medium became free at `station`; arbitrate and launch the next frame
+  /// (fast-forwarding saturating async cycles up to the next queued event).
   void release_medium(int station);
   void start_frame(int station, bool is_async);
   Seconds hops_time(int from, int to) const;
@@ -116,13 +133,25 @@ class PdpSimulation final : public Simulation, private EventHandler {
   SimMetrics metrics_;
   Rng rng_;
   std::vector<Station> stations_;
+  /// Bit r set iff the stream of DM rank r has a queued message; the
+  /// station hosting each rank.
+  std::vector<std::uint64_t> pending_ranks_;
+  std::vector<int> rank_station_;
+  /// The pending medium action (at = +infinity when none).
+  Event medium_{.at = std::numeric_limits<Seconds>::infinity()};
+  /// A frame, walk, capture or recovery is under way; false on an idle
+  /// ring, and on a dark one (every station crashed).
+  bool medium_busy() const {
+    return medium_.at != std::numeric_limits<Seconds>::infinity();
+  }
+  /// Steps taken by the current frontier advance.
+  std::size_t medium_steps_ = 0;
   /// Fault plan expanded once; kFault events carry an index into this.
   std::vector<fault::FaultEvent> fault_events_;
   int active_count_ = 0;
   Seconds theta_ = 0.0;
   Seconds hop_ = 0.0;
   Seconds token_time_ = 0.0;
-  bool medium_busy_ = false;
   /// Station that last started a frame; arbitration restarts from here
   /// after a corrupted frame's wasted slot.
   int medium_station_ = 0;
@@ -130,13 +159,8 @@ class PdpSimulation final : public Simulation, private EventHandler {
   /// inside it are absorbed (the ring is already down).
   Seconds recovering_until_ = 0.0;
   // Idle-token bookkeeping (only reachable when async is not saturating).
-  bool capture_pending_ = false;
   int idle_position_ = 0;
   Seconds idle_since_ = 0.0;
-  /// Incremented whenever a fault destroys the in-flight token or frame;
-  /// stale medium events (walks, frame completions, idle captures) compare
-  /// their generation and abort.
-  std::uint64_t token_generation_ = 0;
 };
 
 }  // namespace tokenring::sim

@@ -21,14 +21,15 @@ std::size_t Simulator::run_until(Seconds horizon) {
   constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
   std::size_t count = 0;
   for (;;) {
-    const Seconds qt = queue_.empty() ? kInf : queue_.next_time();
+    const Seconds qt = next_queued_time();
     const Seconds ft = frontier_ ? frontier_->frontier_time() : kInf;
-    // Queue events win ties: a fault landing at the same instant as the
-    // frontier's token arrival must destroy the token first.
-    const bool from_queue = qt <= ft;
+    // Equal times go by sequence number (see FrontierSource).
+    const bool from_queue =
+        qt < ft || (qt == ft && !queue_.empty() &&
+                    queue_.next_seq() < frontier_->frontier_seq());
     const Seconds t = from_queue ? qt : ft;
     if (!(t <= horizon)) break;  // also exits on both-infinite
-    if (max_events_ != 0 && executed_ >= max_events_) {
+    if (max_events_ != 0 && events_executed() >= max_events_) {
       std::ostringstream os;
       os << "simulation exceeded the max-event guard (" << max_events_
          << " events) at t=" << now_ << " s with " << queue_.size()
@@ -41,11 +42,13 @@ std::size_t Simulator::run_until(Seconds horizon) {
       const Event ev = queue_.pop();
       TR_EXPECTS_MSG(handler_ != nullptr, "no event handler installed");
       handler_->on_event(ev);
+      ++queue_events_;
+      ++count;
     } else {
-      frontier_->advance_frontier();
+      const std::size_t steps = frontier_->advance_frontier();
+      frontier_steps_ += steps;
+      count += steps;
     }
-    ++count;
-    ++executed_;
   }
   if (now_ < horizon) now_ = horizon;
   return count;

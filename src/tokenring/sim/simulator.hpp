@@ -4,10 +4,10 @@
 //  * the heap of typed events (see event_queue.hpp), delivered to the
 //    installed EventHandler in exact (time, seq) order; and
 //  * an optional FrontierSource — a lazily advanced "next predictable
-//    action" time (the TTP token walk). The engine interleaves the frontier
-//    with the queue by time; at equal times queued events fire first, so a
-//    fault scheduled at the same instant as a token arrival destroys the
-//    token before the visit runs.
+//    action" held outside the heap (the TTP token walk, the PDP medium),
+//    interleaved with the queue by (time, seq). The TTP walk stamps no
+//    seq, so queued events win its ties: a fault scheduled at the instant
+//    of a token arrival destroys the token before the visit runs.
 //
 // Time never goes backwards; scheduling in the past is a contract
 // violation.
@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "tokenring/sim/event_queue.hpp"
@@ -40,14 +42,18 @@ class EventHandler {
 
 /// A lazily advanced work source the engine merges with the event queue.
 /// frontier_time() is the absolute time of the next predictable action
-/// (+infinity when idle); advance_frontier() performs it. The engine sets
-/// now() to frontier_time() before each advance. One advance counts as one
-/// executed event for the storm guard.
+/// (+infinity when idle); advance_frontier() performs it and returns the
+/// steps it took (>= 1; each counts as one executed event). The engine sets
+/// now() to frontier_time() before each advance. At equal times the smaller
+/// of frontier_seq() and the queue head's seq fires first.
 class FrontierSource {
  public:
   virtual ~FrontierSource() = default;
   virtual Seconds frontier_time() const = 0;
-  virtual void advance_frontier() = 0;
+  virtual std::size_t advance_frontier() = 0;
+  virtual std::uint64_t frontier_seq() const {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
 };
 
 /// The simulation clock + event loop.
@@ -69,6 +75,16 @@ class Simulator {
   /// Install (or clear, with nullptr) the frontier work source.
   void set_frontier(FrontierSource* frontier) { frontier_ = frontier; }
 
+  /// A seq from the queue's counter: a frontier action stamped with it
+  /// ties as if it had been queued now.
+  std::uint64_t take_seq() { return queue_.take_seq(); }
+
+  /// Firing time of the earliest queued event (+infinity when none).
+  Seconds next_queued_time() const {
+    return queue_.empty() ? std::numeric_limits<Seconds>::infinity()
+                          : queue_.next_time();
+  }
+
   /// Abort (with EventStormError) any run_until that executes more than
   /// `cap` events in total; 0 (the default) disables the guard.
   void set_max_events(std::size_t cap) { max_events_ = cap; }
@@ -79,15 +95,20 @@ class Simulator {
   /// guard is set and trips.
   std::size_t run_until(Seconds horizon);
 
-  /// Total events executed so far.
-  std::size_t events_executed() const { return executed_; }
+  /// Total events executed so far (queued events + frontier steps).
+  std::size_t events_executed() const {
+    return queue_events_ + frontier_steps_;
+  }
+  std::size_t queue_events() const { return queue_events_; }
+  std::size_t frontier_steps() const { return frontier_steps_; }
 
  private:
   EventQueue queue_;
   EventHandler* handler_ = nullptr;
   FrontierSource* frontier_ = nullptr;
   Seconds now_ = 0.0;
-  std::size_t executed_ = 0;
+  std::size_t queue_events_ = 0;
+  std::size_t frontier_steps_ = 0;
   std::size_t max_events_ = 0;
 };
 

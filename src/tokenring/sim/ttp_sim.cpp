@@ -118,11 +118,12 @@ Seconds TtpSimulation::frontier_time() const {
   return token_live_ ? token_at_ : std::numeric_limits<Seconds>::infinity();
 }
 
-void TtpSimulation::advance_frontier() {
+std::size_t TtpSimulation::advance_frontier() {
   // Disarm first: if the generation went stale (a fault destroyed the
   // token) the visit below aborts without re-arming.
   token_live_ = false;
   on_token_arrival(token_next_, token_gen_);
+  return 1;
 }
 
 void TtpSimulation::pass_token(int next, Seconds delay) {
@@ -471,7 +472,7 @@ SimMetrics TtpSimulation::run() {
       }
     }
   }
-  record_run_observability(metrics_, sim_.events_executed());
+  record_run_observability(metrics_, sim_);
   return metrics_;
 }
 

@@ -96,7 +96,7 @@ class TtpSimulation final : public Simulation,
   void on_event(const Event& ev) override;
   /// FrontierSource: the token's next arrival, advanced lazily.
   Seconds frontier_time() const override;
-  void advance_frontier() override;
+  std::size_t advance_frontier() override;
 
   void on_token_arrival(int station, std::uint64_t generation);
   /// Hand the token to `next`, `delay` seconds from now by moving the

@@ -106,6 +106,46 @@ TEST(Cli, ParseDetailedDistinguishesHelpFromErrors) {
   }
 }
 
+TEST(Cli, UsageShowsDeclaredDefaultsNotParsedValues) {
+  // A later argument fails after --sets was already taken from argv: the
+  // usage must still show the declared default, not the parsed value.
+  CliFlags flags;
+  flags.declare("sets", "10", "message sets");
+  flags.declare("jobs", "0", "worker threads");
+  Argv a({"prog", "--sets=100", "--jobs=4", "--bogus"});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kError);
+  const std::string usage = testing::internal::GetCapturedStderr();
+  EXPECT_NE(usage.find("message sets (default: 10)\n"), std::string::npos)
+      << usage;
+  EXPECT_NE(usage.find("worker threads (default: 0)\n"), std::string::npos)
+      << usage;
+  EXPECT_EQ(usage.find("(default: 100)"), std::string::npos) << usage;
+  EXPECT_EQ(flags.get_int("sets"), 100);
+}
+
+TEST(Cli, BareBooleanFollowsTheDeclaredDefault) {
+  // Whether a flag may appear bare is a property of its declaration: a
+  // boolean flag stays bare-capable after an earlier non-boolean value,
+  // and a string flag does not become one after an earlier "true".
+  CliFlags flags;
+  flags.declare("profile", "false", "");
+  flags.declare("name", "x", "");
+  {
+    Argv a({"prog", "--profile=maybe", "--profile"});
+    EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kOk);
+    EXPECT_TRUE(flags.get_bool("profile"));
+  }
+  {
+    Argv a({"prog", "--name=true", "--name"});
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(flags.parse_detailed(a.argc(), a.argv()), Outcome::kError);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "flag --name requires a value"),
+              std::string::npos);
+  }
+}
+
 TEST(Cli, TypedAccessors) {
   CliFlags flags;
   flags.declare("d", "2.5", "");

@@ -291,9 +291,10 @@ class TickingFrontier final : public FrontierSource {
  public:
   TickingFrontier(Simulator& sim, double step) : sim_(sim), step_(step) {}
   Seconds frontier_time() const override { return next_; }
-  void advance_frontier() override {
+  std::size_t advance_frontier() override {
     fired.push_back(sim_.now());
     next_ += step_;
+    return 1;
   }
   Simulator& sim_;
   double step_;
@@ -328,9 +329,9 @@ TEST(Simulator, QueueWinsTiesAgainstFrontier) {
     Spy(TickingFrontier& inner, std::vector<int>& order)
         : inner_(inner), order_(order) {}
     Seconds frontier_time() const override { return inner_.frontier_time(); }
-    void advance_frontier() override {
+    std::size_t advance_frontier() override {
       order_.push_back(1);
-      inner_.advance_frontier();
+      return inner_.advance_frontier();
     }
     TickingFrontier& inner_;
     std::vector<int>& order_;
@@ -341,6 +342,47 @@ TEST(Simulator, QueueWinsTiesAgainstFrontier) {
   sim.run_until(1.0);
   // t=0 frontier, then at t=1 the queued event (0) before the frontier (1).
   EXPECT_EQ(order, (std::vector<int>{1, 0, 1}));
+}
+
+TEST(Simulator, SeqStampedFrontierKeepsArmOrderOnTies) {
+  // A frontier that takes its sequence number from the queue when armed
+  // ties with queued events in arm order: an event queued before the arm
+  // fires first, one queued after fires second.
+  class Slot final : public FrontierSource {
+   public:
+    explicit Slot(std::vector<int>& order) : order_(order) {}
+    Seconds frontier_time() const override { return at_; }
+    std::uint64_t frontier_seq() const override { return seq_; }
+    std::size_t advance_frontier() override {
+      order_.push_back(1);
+      at_ = std::numeric_limits<Seconds>::infinity();
+      return 3;  // one advance may take several steps
+    }
+    void arm(Simulator& sim, Seconds at) {
+      at_ = at;
+      seq_ = sim.take_seq();
+    }
+    std::vector<int>& order_;
+    Seconds at_ = std::numeric_limits<Seconds>::infinity();
+    std::uint64_t seq_ = 0;
+  };
+  Simulator sim;
+  std::vector<int> order;
+  RecordingHandler h(sim);
+  h.on_event_hook = [&](const Event& ev) { order.push_back(ev.index); };
+  Slot slot(order);
+  sim.set_handler(&h);
+  sim.set_frontier(&slot);
+  sim.schedule_at(1.0, user_event(0));
+  EXPECT_EQ(sim.next_queued_time(), 1.0);
+  slot.arm(sim, 1.0);
+  sim.schedule_at(1.0, user_event(2));
+  sim.run_until(2.0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.queue_events(), 2u);
+  EXPECT_EQ(sim.frontier_steps(), 3u);
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_EQ(sim.next_queued_time(), std::numeric_limits<Seconds>::infinity());
 }
 
 TEST(Simulator, FrontierCountsTowardStormGuard) {

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "pdp_golden_cases.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/net/standards.hpp"
+#include "tokenring/obs/registry.hpp"
 
 namespace tokenring::sim {
 namespace {
@@ -256,6 +263,140 @@ TEST(PdpSim, MetricsSummaryMentionsCounts) {
   const std::string s = m.summary();
   EXPECT_NE(s.find("released="), std::string::npos);
   EXPECT_NE(s.find("misses="), std::string::npos);
+}
+
+// ---- goldens ---------------------------------------------------------------
+//
+// Metrics and trace digests recorded from the simulator that queued every
+// medium action on the event heap (tests/fixtures/sim/README.md); the
+// medium slot, the rank arbiter and the saturating-async fast-forward must
+// reproduce them bit for bit.
+
+/// The fixture's record blocks, keyed by case name.
+std::map<std::string, std::string> read_blocks(const std::string& name) {
+  const std::string path = std::string(TOKENRING_SIM_FIXTURES) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing fixture " << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::map<std::string, std::string> blocks;
+  std::size_t at = 0;
+  while (at < text.size()) {
+    std::size_t end = text.find("\ncase ", at);
+    end = end == std::string::npos ? text.size() : end + 1;
+    const std::string block = text.substr(at, end - at);
+    const std::size_t eol = block.find('\n');
+    blocks[block.substr(5, eol - 5)] = block;
+    at = end;
+  }
+  return blocks;
+}
+
+void expect_fixture(const std::vector<pdp_golden::Case>& cases,
+                    const std::string& fixture) {
+  const auto want = read_blocks(fixture);
+  EXPECT_EQ(want.size(), cases.size());
+  for (const auto& c : cases) {
+    const auto it = want.find(c.name);
+    ASSERT_NE(it, want.end()) << "no recording for " << c.name;
+    EXPECT_EQ(pdp_golden::record(c), it->second) << c.name;
+  }
+}
+
+TEST(PdpGoldens, FaultFreeGridIsBitIdentical) {
+  expect_fixture(pdp_golden::grid_cases(), "pdp_grid.txt");
+}
+
+TEST(PdpGoldens, FaultedRunsAreBitIdentical) {
+  expect_fixture(pdp_golden::fault_cases(), "pdp_faults.txt");
+}
+
+TEST(PdpGoldens, ExactTiesKeepSequenceOrder) {
+  // The constructed ties are exact: the recovery from a t=0 token loss is
+  // due at 0 + outage = P + P, and the first frame completes at P + P.
+  const auto rec = pdp_golden::recovery_tie_case();
+  const Seconds outage = fault::pdp_monitor_outage(rec.cfg.pdp,
+                                                   rec.cfg.bandwidth);
+  EXPECT_EQ(0.0 + outage, rec.set[0].period + rec.set[0].period);
+  for (const auto v : pdp_golden::kVariants) {
+    const auto c = pdp_golden::frame_tie_case(v);
+    const Seconds p = c.set[0].period;
+    EXPECT_EQ(pdp_golden::first_frame_done(c.set, c.cfg), p + p);
+    // The completion was armed when the frame started, before the release
+    // at 2P was queued (at P), so it fires first, as the recording shows.
+    std::vector<TraceRecord> at_tie;
+    CallbackSink sink([&](const TraceRecord& r) {
+      if (r.at == p + p) at_tie.push_back(r);
+    });
+    auto cfg = c.cfg;
+    cfg.trace = &sink;
+    run_simulation(c.set, cfg);
+    ASSERT_GE(at_tie.size(), 3u);  // complete, its miss, ..., the release
+    EXPECT_EQ(at_tie.front().kind, TraceEventKind::kMessageComplete);
+    EXPECT_EQ(at_tie.back().kind, TraceEventKind::kMessageArrival);
+  }
+  for (const auto v : pdp_golden::kVariants) {
+    // Mid-run of async frames, the release queued at t=0 ties with an
+    // async completion armed later: the release fires first, so the
+    // fast-forward must hand that completion back to the slot.
+    const auto c = pdp_golden::async_tie_case(v);
+    const Seconds p = c.set[0].period;
+    std::vector<TraceEventKind> at_tie;
+    CallbackSink sink([&](const TraceRecord& r) {
+      if (r.at == p) at_tie.push_back(r.kind);
+    });
+    auto cfg = c.cfg;
+    cfg.trace = &sink;
+    run_simulation(c.set, cfg);
+    EXPECT_EQ(at_tie, (std::vector<TraceEventKind>{
+                          TraceEventKind::kMessageArrival,
+                          TraceEventKind::kAsyncFrame}));
+  }
+  expect_fixture(pdp_golden::tie_cases(), "pdp_ties.txt");
+}
+
+TEST(PdpSim, CorruptionOnADarkRingIsAbsorbed) {
+  // With every station crashed nothing can be in flight, so a frame
+  // corruption charges no recovery window (the queued-medium simulator
+  // charged one to the first such fault; no golden covers a dark ring).
+  auto cfg = pdp_golden::base_config(analysis::PdpVariant::kStandard8025,
+                                     16.0, AsyncModel::kSaturating);
+  for (int s = 0; s < pdp_golden::kStations; ++s) {
+    cfg.faults.add_station_crash(milliseconds(10), s);
+  }
+  cfg.faults.add_frame_corruption(milliseconds(60));
+  cfg.faults.add_frame_corruption(milliseconds(70));
+  const auto m = run_simulation(pdp_golden::golden_set(), cfg);
+  const auto& corruption = m.per_fault.at(fault::FaultKind::kFrameCorruption);
+  EXPECT_EQ(corruption.injected, 2u);
+  EXPECT_EQ(corruption.outage, 0.0);
+  EXPECT_EQ(m.outages.size(), 12u);  // the crashes' beacon outages only
+}
+
+std::uint64_t counter(const char* name) {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(PdpSim, SaturatingMediumNeverTouchesTheHeap) {
+  // Fault-free with saturating async, the only queued events are the
+  // releases: every medium action runs in the frontier slot.
+  for (const auto v : pdp_golden::kVariants) {
+    for (const double bw : {4.0, 100.0}) {
+      const auto cfg = pdp_golden::base_config(v, bw, AsyncModel::kSaturating);
+      const std::uint64_t queued0 = counter("sim.queue_events");
+      const std::uint64_t steps0 = counter("sim.frontier_steps");
+      const std::uint64_t events0 = counter("sim.events");
+      const auto m = run_simulation(pdp_golden::golden_set(), cfg);
+      const std::uint64_t queued = counter("sim.queue_events") - queued0;
+      const std::uint64_t steps = counter("sim.frontier_steps") - steps0;
+      EXPECT_EQ(queued, m.messages_released);
+      // Kickoff, then per async frame a walk and a completion, at least.
+      EXPECT_GT(steps, 2 * m.async_frames_sent);
+      EXPECT_EQ(counter("sim.events") - events0, queued + steps);
+    }
+  }
 }
 
 }  // namespace
