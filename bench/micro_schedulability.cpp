@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark): cost of the schedulability tests
 // themselves. Relevant because admission control runs these online: the
 // paper's criteria are only useful in practice if a test over n streams is
-// cheap. Compares the exact scheduling-point test (Theorem 4.1 as printed)
-// against the equivalent response-time analysis, the O(n) TTP criterion,
-// and one full breakdown-saturation search.
+// cheap. Times the response-time analysis behind Theorem 4.1 (the literal
+// scheduling-point test is a test oracle, tests/lsd_oracle.hpp, and is not
+// timed here), the O(n) TTP criterion, and one full breakdown-saturation
+// search.
 //
 // Benchmarks come in reference/fast pairs: every *Kernel / *Fast /
 // *ScaledInto variant has a same-shaped reference benchmark in the same
@@ -65,21 +66,6 @@ void BM_PdpResponseTimeAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_PdpResponseTimeAnalysis)->Arg(10)->Arg(50)->Arg(100)->Arg(500)
     ->Complexity(benchmark::oNSquared);
-
-void BM_PdpSchedulingPointTest(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto params =
-      setup_for(n).pdp_params(analysis::PdpVariant::kStandard8025);
-  const BitsPerSecond bw = mbps(16);
-  const auto set = make_set(n, 1, 20.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::pdp_schedulable_lsd(set, params, bw).schedulable);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_PdpSchedulingPointTest)->Arg(10)->Arg(50)->Arg(100)
-    ->Complexity(benchmark::oNCubed);
 
 void BM_TtpCriterion(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -285,22 +271,6 @@ void BM_RtaScreened(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RtaScreened)->Arg(100);
-
-// The paper-faithful scheduling-point test (Theorem 4.1 as printed) on the
-// same task list; its production counterpart is BM_RtaScreened above.
-void BM_LsdExact(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto params =
-      setup_for(n).pdp_params(analysis::PdpVariant::kStandard8025);
-  const BitsPerSecond bw = mbps(16);
-  const auto tasks = analysis::pdp_tasks(make_set(n, 1, 20.0), params, bw);
-  const Seconds blocking = analysis::pdp_blocking(params, bw);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        analysis::lsd_point_test_all(tasks, blocking).schedulable);
-  }
-}
-BENCHMARK(BM_LsdExact)->Arg(100);
 
 void BM_PdpSimulation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -70,6 +70,7 @@
 #include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/obs/report.hpp"
+#include "tokenring/planner/protocol.hpp"
 #include "tokenring/serve/backoff.hpp"
 #include "tokenring/serve/server.hpp"
 #include "tokenring/serve/wire.hpp"
@@ -135,13 +136,17 @@ std::string sized_check_line(int slot, int n, const char* protocol) {
 /// before it can answer from cache. Best of five passes of >= 50 ms each,
 /// so a preempted pass does not decide the row.
 double wire_decode_ns(std::size_t& decoded) {
-  constexpr const char* kProtocols[] = {"fddi", "ieee8025", "modified8025"};
+  using planner::Protocol;
+  constexpr Protocol kRotation[] = {Protocol::kFddi, Protocol::kIeee8025,
+                                    Protocol::kModified8025};
   std::vector<std::string> lines;
   for (int n = 16, slot = 0; n <= 128; n = n * 3 / 2, ++slot) {
-    lines.push_back(sized_check_line(slot, n, kProtocols[slot % 3]));
+    lines.push_back(sized_check_line(
+        slot, n, planner::protocol_key(kRotation[slot % 3])));
   }
-  lines.push_back(sized_check_line(static_cast<int>(lines.size()), 128,
-                                   kProtocols[lines.size() % 3]));
+  lines.push_back(
+      sized_check_line(static_cast<int>(lines.size()), 128,
+                       planner::protocol_key(kRotation[lines.size() % 3])));
   double best = 0.0;
   std::size_t key_bytes = 0;
   decoded = 0;

@@ -16,7 +16,7 @@ using namespace tokenring;
 
 int main(int argc, char** argv) {
   CliFlags flags;
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
+  flags.declare("protocol", "fddi", planner::protocol_keys(" | "));
   flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
   flags.declare("stations", "32", "stations on the ring");
   flags.declare("requests", "40", "number of admission requests to replay");
@@ -26,26 +26,20 @@ int main(int argc, char** argv) {
     return parsed == CliFlags::ParseOutcome::kHelp ? 0 : 1;
   }
 
-  planner::Protocol protocol;
   const std::string name = flags.get_string("protocol");
-  if (name == "ieee8025") {
-    protocol = planner::Protocol::kIeee8025;
-  } else if (name == "modified8025") {
-    protocol = planner::Protocol::kModified8025;
-  } else if (name == "fddi") {
-    protocol = planner::Protocol::kFddi;
-  } else {
+  const auto protocol = planner::parse_protocol(name);
+  if (!protocol) {
     std::fprintf(stderr, "unknown protocol: %s\n", name.c_str());
     return 1;
   }
 
   const int stations = static_cast<int>(flags.get_int("stations"));
   const auto config = planner::default_config(
-      protocol, mbps(flags.get_double("bandwidth-mbps")), stations);
+      *protocol, mbps(flags.get_double("bandwidth-mbps")), stations);
   planner::AdmissionController controller(config);
 
   std::printf("Admission control on %s at %.0f Mbps (%d stations)\n\n",
-              planner::to_string(protocol), to_mbps(config.bandwidth),
+              planner::to_string(*protocol), to_mbps(config.bandwidth),
               stations);
 
   // Replay a random arrival sequence of guarantee requests.

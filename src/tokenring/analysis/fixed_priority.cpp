@@ -10,29 +10,6 @@ namespace tokenring::analysis {
 
 namespace {
 
-// Activations of a period-P stream interfering in [0, t]: the mathematical
-// ceil(t/P), which excludes an arrival landing exactly at t. The scheduling
-// points are generated as fl(l * P), and that product divided back by P can
-// round one ulp *above* l — a plain ceil would then count the arrival at t
-// as interference and wrongly reject the point. Snap back whenever the
-// previous multiple already reaches t.
-double activations(Seconds t, Seconds period) {
-  double c = std::ceil(t / period);
-  if ((c - 1.0) * period >= t) c -= 1.0;
-  return c;
-}
-
-// Workload of task i and all higher-priority tasks released in [0, t],
-// plus blocking: W_i(t) = B + C'_i + sum_{j<i} C'_j * ceil(t / P_j).
-Seconds workload(const std::vector<FpTask>& tasks, std::size_t i,
-                 Seconds blocking, Seconds t) {
-  Seconds w = blocking + tasks[i].cost;
-  for (std::size_t j = 0; j < i; ++j) {
-    w += tasks[j].cost * activations(t, tasks[j].period);
-  }
-  return w;
-}
-
 // Safety margin for the pre-filter screens: the mathematical conditions
 // are evaluated in floating point, so a raw comparison could fire inside
 // the rounding noise of the exact test it short-circuits. 1e-9 relative is
@@ -75,78 +52,6 @@ struct HyperbolicScreen {
     prefix_product *= 1.0 + task.cost / task.period;
   }
 };
-
-}  // namespace
-
-void validate_sorted_tasks(const std::vector<FpTask>& tasks) {
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    TR_EXPECTS_MSG(tasks[i].period > 0.0, "task period must be positive");
-    TR_EXPECTS_MSG(tasks[i].cost >= 0.0, "task cost cannot be negative");
-    TR_EXPECTS_MSG(tasks[i].deadline >= 0.0 &&
-                       tasks[i].deadline <= tasks[i].period,
-                   "constrained deadlines must satisfy 0 < D <= P");
-    if (i > 0) {
-      TR_EXPECTS_MSG(tasks[i - 1].effective_deadline() <=
-                         tasks[i].effective_deadline(),
-                     "tasks must be sorted by non-decreasing deadline");
-    }
-  }
-}
-
-bool lsd_point_test(const std::vector<FpTask>& tasks, std::size_t i,
-                    Seconds blocking, std::size_t* workload_evals) {
-  TR_EXPECTS(i < tasks.size());
-  const Seconds d = tasks[i].effective_deadline();
-  // Scheduling points { l * P_k : k <= i, l*P_k <= D_i } union { D_i }.
-  // (With D_i = P_i the union adds t = P_i via k = i, l = 1 and this is
-  // exactly the paper's R_i.) Harmonic periods generate the same t through
-  // several (k, l) pairs; sorting and deduplicating evaluates each
-  // distinct point once — the workload at a given t does not depend on how
-  // the point was generated, so the existential verdict is unchanged.
-  std::vector<Seconds> points;
-  for (std::size_t k = 0; k <= i; ++k) {
-    const auto lmax =
-        static_cast<std::int64_t>(std::floor(d / tasks[k].period));
-    for (std::int64_t l = 1; l <= lmax; ++l) {
-      points.push_back(static_cast<double>(l) * tasks[k].period);
-    }
-  }
-  points.push_back(d);
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-
-  std::size_t evals = 0;
-  bool ok = false;
-  for (const Seconds t : points) {
-    ++evals;
-    if (workload(tasks, i, blocking, t) <= t) {
-      ok = true;
-      break;
-    }
-  }
-  if (workload_evals) *workload_evals = evals;
-  return ok;
-}
-
-FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
-                                Seconds blocking) {
-  validate_sorted_tasks(tasks);
-  TR_EXPECTS(blocking >= 0.0);
-  FpSetVerdict v;
-  v.schedulable = true;
-  v.tasks.resize(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const bool ok = lsd_point_test(tasks, i, blocking);
-    v.tasks[i].schedulable = ok;
-    if (!ok && v.schedulable) {
-      v.schedulable = false;
-      v.first_failure = i;
-    }
-  }
-  return v;
-}
-
-namespace {
 
 // Fixpoint work done by one caller, counted in locals and added to the obs
 // counters once, when the tally goes out of scope: the saturation probe
@@ -207,6 +112,21 @@ std::optional<Seconds> fixpoint(const std::vector<FpTask>& tasks,
 }
 
 }  // namespace
+
+void validate_sorted_tasks(const std::vector<FpTask>& tasks) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    TR_EXPECTS_MSG(tasks[i].period > 0.0, "task period must be positive");
+    TR_EXPECTS_MSG(tasks[i].cost >= 0.0, "task cost cannot be negative");
+    TR_EXPECTS_MSG(tasks[i].deadline >= 0.0 &&
+                       tasks[i].deadline <= tasks[i].period,
+                   "constrained deadlines must satisfy 0 < D <= P");
+    if (i > 0) {
+      TR_EXPECTS_MSG(tasks[i - 1].effective_deadline() <=
+                         tasks[i].effective_deadline(),
+                     "tasks must be sorted by non-decreasing deadline");
+    }
+  }
+}
 
 std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
                                      std::size_t i, Seconds blocking,
@@ -290,21 +210,6 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
     screen.advance(tasks[i]);
   }
   return true;
-}
-
-double liu_layland_bound(std::size_t n) {
-  TR_EXPECTS(n >= 1);
-  const double nn = static_cast<double>(n);
-  return nn * (std::pow(2.0, 1.0 / nn) - 1.0);
-}
-
-double hyperbolic_product(const std::vector<FpTask>& tasks) {
-  double prod = 1.0;
-  for (const auto& t : tasks) {
-    TR_EXPECTS(t.period > 0.0);
-    prod *= (t.cost / t.period + 1.0);
-  }
-  return prod;
 }
 
 }  // namespace tokenring::analysis

@@ -2,22 +2,22 @@
 //
 // The PDP analysis (paper Theorem 4.1) is the Lehoczky-Sha-Ding exact
 // characterization [RTSS'89] applied to augmented message lengths C'_i with
-// a blocking term B. This file implements that test in two equivalent
-// forms:
+// a blocking term B. The paper prints it as a scheduling-point test
+// (minimize the workload ratio over R_i = {l*P_k}); this file implements
+// the equivalent fixpoint-iteration formulation (Joseph/Pandya/Audsley
+// response-time analysis), which gives the same verdict and runs orders of
+// magnitude faster inside Monte Carlo loops:
 //
-//  * `lsd_point_test`         — the scheduling-point formulation exactly as
-//                               printed in the paper (minimize workload
-//                               ratio over R_i = {l*P_k}), and
-//  * `response_time_analysis` — the fixpoint-iteration formulation
-//                               (Joseph/Pandya/Audsley), which gives the
-//                               same verdict but runs orders of magnitude
-//                               faster inside Monte Carlo loops.
+//  * `response_time_analysis` — per-task verdicts and response times (the
+//                               report behind `pdp_schedulable`);
+//  * `rta_feasible`, `rta_feasible_fast` — boolean verdicts for probes.
 //
-// A randomized property test asserts the two agree; the Monte Carlo driver
-// uses the fast one.
+// The literal scheduling-point test lives in tests/lsd_oracle.hpp, where
+// randomized tests assert that it agrees with these.
 //
 // Inputs are plain vectors sorted by increasing period (rate-monotonic
-// priority order, index 0 = highest priority). Deadlines equal periods.
+// priority order, index 0 = highest priority). Deadlines equal periods
+// unless a task sets a constrained one.
 
 #pragma once
 
@@ -90,27 +90,6 @@ enum class RtaStatus {
   kIterationCapReached,
 };
 
-/// Paper Theorem 4.1 / Lehoczky-Sha-Ding scheduling-point test for task `i`
-/// (0-based) in a set sorted by increasing effective deadline: is there a
-/// scheduling point t in { l*P_k : k <= i, l*P_k <= D_i } union { D_i } with
-///   B + C'_i + sum_{j<i} C'_j * ceil(t/P_j)  <=  t ?
-/// (With implicit deadlines this is exactly the paper's R_i.)
-/// `blocking` is the B term (2*max(F, Theta) for PDP).
-/// Points are sorted and deduplicated before testing, so harmonic periods
-/// (where l*P_k collides across k) evaluate each distinct t once; the
-/// verdict is unchanged because the workload at a given t is the same
-/// however the point was generated. `workload_evals`, when non-null, is
-/// set to the number of workload evaluations performed (early exit on the
-/// first passing point included).
-/// Preconditions: tasks sorted by effective deadline; costs/periods
-/// positive or zero cost; i < tasks.size().
-bool lsd_point_test(const std::vector<FpTask>& tasks, std::size_t i,
-                    Seconds blocking, std::size_t* workload_evals = nullptr);
-
-/// Scheduling-point test over the whole set (every task must pass).
-FpSetVerdict lsd_point_test_all(const std::vector<FpTask>& tasks,
-                                Seconds blocking);
-
 /// Response-time analysis for task `i`:
 ///   r^{m+1} = B + C'_i + sum_{j<i} ceil(r^m / P_j) * C'_j
 /// starting from r^0 = max(B + C'_i, seed), until fixpoint or r > D_i.
@@ -139,8 +118,8 @@ std::optional<Seconds> response_time(const std::vector<FpTask>& tasks,
 /// as `response_time_analysis` without building the per-task report.
 bool rta_feasible(const std::vector<FpTask>& tasks, Seconds blocking);
 
-/// RTA over the whole set. Same verdict as `lsd_point_test_all` (both are
-/// exact for this model); this one is the fast path.
+/// RTA over the whole set: every task's cold `response_time` fixpoint, with
+/// per-task verdicts and response times (exact for this model).
 FpSetVerdict response_time_analysis(const std::vector<FpTask>& tasks,
                                     Seconds blocking);
 
@@ -170,15 +149,6 @@ bool rta_feasible_fast(const std::vector<FpTask>& tasks, Seconds blocking,
                        std::size_t* failed_hint = nullptr,
                        std::span<const Seconds> seeds = {},
                        std::span<Seconds> response_times = {});
-
-/// Liu-Layland utilization bound n*(2^{1/n} - 1): a *sufficient* condition
-/// on sum(cost/period) for schedulability with zero blocking. Provided for
-/// context in examples/benches. Requires n >= 1.
-double liu_layland_bound(std::size_t n);
-
-/// Hyperbolic bound (Bini-Buttazzo): prod(U_i + 1) <= 2 is sufficient with
-/// zero blocking. Returns the product for the given tasks.
-double hyperbolic_product(const std::vector<FpTask>& tasks);
 
 /// Throws PreconditionError unless the tasks are sorted by non-decreasing
 /// effective deadline, with positive periods, non-negative costs, and

@@ -62,9 +62,11 @@ Seconds pdp_blocking(const PdpParams& params, BitsPerSecond bw) {
   return 2.0 * std::max(params.frame.frame_time(bw), params.ring.theta(bw));
 }
 
-std::vector<FpTask> pdp_tasks(const msg::MessageSet& set,
-                              const PdpParams& params, BitsPerSecond bw) {
-  const msg::MessageSet sorted = set.rm_sorted();
+namespace {
+
+/// FpTasks of a set already in rate-monotonic order.
+std::vector<FpTask> tasks_of_sorted(const msg::MessageSet& sorted,
+                                    const PdpParams& params, BitsPerSecond bw) {
   std::vector<FpTask> tasks;
   tasks.reserve(sorted.size());
   for (const auto& s : sorted.streams()) {
@@ -74,20 +76,23 @@ std::vector<FpTask> pdp_tasks(const msg::MessageSet& set,
   return tasks;
 }
 
-namespace {
+}  // namespace
 
-PdpVerdict build_verdict(const msg::MessageSet& set, const PdpParams& params,
-                         BitsPerSecond bw, bool use_lsd) {
+std::vector<FpTask> pdp_tasks(const msg::MessageSet& set,
+                              const PdpParams& params, BitsPerSecond bw) {
+  return tasks_of_sorted(set.rm_sorted(), params, bw);
+}
+
+PdpVerdict pdp_schedulable(const msg::MessageSet& set, const PdpParams& params,
+                           BitsPerSecond bw) {
   params.validate();
   set.validate();
   TR_EXPECTS(bw > 0.0);
 
   const msg::MessageSet sorted = set.rm_sorted();
-  const std::vector<FpTask> tasks = pdp_tasks(set, params, bw);
+  const std::vector<FpTask> tasks = tasks_of_sorted(sorted, params, bw);
   const Seconds blocking = pdp_blocking(params, bw);
-
-  const FpSetVerdict fp = use_lsd ? lsd_point_test_all(tasks, blocking)
-                                  : response_time_analysis(tasks, blocking);
+  const FpSetVerdict fp = response_time_analysis(tasks, blocking);
 
   PdpVerdict v;
   v.schedulable = fp.schedulable;
@@ -102,18 +107,6 @@ PdpVerdict build_verdict(const msg::MessageSet& set, const PdpParams& params,
     r.response_time = fp.tasks[i].response_time;
   }
   return v;
-}
-
-}  // namespace
-
-PdpVerdict pdp_schedulable(const msg::MessageSet& set, const PdpParams& params,
-                           BitsPerSecond bw) {
-  return build_verdict(set, params, bw, /*use_lsd=*/false);
-}
-
-PdpVerdict pdp_schedulable_lsd(const msg::MessageSet& set,
-                               const PdpParams& params, BitsPerSecond bw) {
-  return build_verdict(set, params, bw, /*use_lsd=*/true);
 }
 
 bool pdp_feasible(const msg::MessageSet& set, const PdpParams& params,

@@ -84,16 +84,11 @@ Seconds pdp_augmented_length(const msg::SyncStream& stream,
 /// Blocking bound B = 2*max(F, Theta) (paper Lemma 4.1).
 Seconds pdp_blocking(const PdpParams& params, BitsPerSecond bw);
 
-/// Exact schedulability test (Theorem 4.1) via response-time analysis —
-/// the fast path used in Monte Carlo loops.
+/// Exact schedulability test (Theorem 4.1) via response-time analysis, with
+/// a per-stream report. (The paper's literal scheduling-point form is the
+/// test oracle in tests/lsd_oracle.hpp.)
 PdpVerdict pdp_schedulable(const msg::MessageSet& set, const PdpParams& params,
                            BitsPerSecond bw);
-
-/// Same verdict computed with the literal scheduling-point formulation of
-/// Theorem 4.1. Slower; kept as the paper-faithful reference (tests assert
-/// agreement with `pdp_schedulable`).
-PdpVerdict pdp_schedulable_lsd(const msg::MessageSet& set,
-                               const PdpParams& params, BitsPerSecond bw);
 
 /// Lean boolean verdict with early exit on the first failing stream — the
 /// fast path for Monte Carlo breakdown searches (identical verdict to

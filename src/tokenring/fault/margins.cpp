@@ -40,13 +40,17 @@ int largest_feasible(const std::function<bool(int)>& test, int hi_bound) {
 
 /// A k past which no criterion can pass: the whole deadline window spent
 /// recovering. +2 keeps the search bracket valid even at outage ~ 0 window.
+/// Outages too short to count in an int clamp the bracket to
+/// kMaxFaultMargin + 1, so the search answers at most kMaxFaultMargin.
 int hopeless_faults(const msg::MessageSet& set, Seconds outage) {
   Seconds longest = 0.0;
   for (const auto& s : set.streams()) {
     longest = std::max(longest, s.deadline());
   }
   if (outage <= 0.0) return 2;
-  return static_cast<int>(std::ceil(longest / outage)) + 2;
+  const double faults = std::ceil(longest / outage) + 2.0;
+  return faults <= kMaxFaultMargin ? static_cast<int>(faults)
+                                   : kMaxFaultMargin + 1;
 }
 
 /// PDP probe with the augmented task list and per-fault recovery hoisted

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "tokenring/analysis/pdp.hpp"
 #include "tokenring/analysis/ttp.hpp"
@@ -46,6 +47,12 @@ struct FaultBudget {
   Seconds noise_duration = 0.0;
 };
 
+/// Largest margin a report states. Outages tiny against the longest
+/// deadline (more than INT_MAX of them fit in it) can leave a criterion
+/// passing beyond this k; the margin then saturates here and reads "at
+/// least kMaxFaultMargin faults per period".
+inline constexpr int kMaxFaultMargin = std::numeric_limits<int>::max() - 1;
+
 /// Resilience verdict for one message set under one protocol.
 struct FaultMarginReport {
   /// Verdict of the fault-free criterion (k = 0).
@@ -54,8 +61,8 @@ struct FaultMarginReport {
   /// (what the simulators stall for). The criteria charge an additional
   /// boundary term on top (one max frame for PDP, one TTRT for TTP).
   Seconds recovery_per_fault = 0.0;
-  /// Largest k with the fault-aware criterion passing; -1 when even the
-  /// fault-free criterion fails.
+  /// Largest k <= kMaxFaultMargin with the fault-aware criterion passing;
+  /// -1 when even the fault-free criterion fails.
   int margin = -1;
 };
 

@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "tokenring/experiments/setup.hpp"
-#include "tokenring/planner/planner.hpp"
+#include "tokenring/planner/protocol.hpp"
 
 namespace tokenring::planner {
 

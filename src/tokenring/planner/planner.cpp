@@ -3,40 +3,8 @@
 #include <algorithm>
 
 #include "tokenring/common/checks.hpp"
-#include "tokenring/net/standards.hpp"
 
 namespace tokenring::planner {
-
-const char* to_string(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kIeee8025:
-      return "IEEE 802.5";
-    case Protocol::kModified8025:
-      return "Modified IEEE 802.5";
-    case Protocol::kFddi:
-      return "FDDI timed token";
-  }
-  return "?";
-}
-
-void PlannerConfig::validate() const {
-  TR_EXPECTS(bandwidth > 0.0);
-  ring.validate();
-  frame.validate();
-  async_frame.validate();
-}
-
-PlannerConfig default_config(Protocol protocol, BitsPerSecond bandwidth,
-                             int num_stations) {
-  PlannerConfig cfg;
-  cfg.protocol = protocol;
-  cfg.bandwidth = bandwidth;
-  cfg.ring = protocol == Protocol::kFddi ? net::fddi_ring(num_stations)
-                                         : net::ieee8025_ring(num_stations);
-  cfg.frame = net::paper_frame_format();
-  cfg.async_frame = net::paper_frame_format();
-  return cfg;
-}
 
 AdmissionController::AdmissionController(PlannerConfig config)
     : config_(std::move(config)) {
@@ -49,26 +17,11 @@ double AdmissionController::utilization() const {
 
 bool AdmissionController::feasible(const msg::MessageSet& set) const {
   if (set.empty()) return true;
-  switch (config_.protocol) {
-    case Protocol::kIeee8025:
-    case Protocol::kModified8025: {
-      analysis::PdpParams p;
-      p.ring = config_.ring;
-      p.frame = config_.frame;
-      p.variant = config_.protocol == Protocol::kIeee8025
-                      ? analysis::PdpVariant::kStandard8025
-                      : analysis::PdpVariant::kModified8025;
-      return analysis::pdp_feasible(set, p, config_.bandwidth);
-    }
-    case Protocol::kFddi: {
-      analysis::TtpParams p;
-      p.ring = config_.ring;
-      p.frame = config_.frame;
-      p.async_frame = config_.async_frame;
-      return analysis::ttp_feasible(set, p, config_.bandwidth);
-    }
-  }
-  return false;
+  return config_.protocol == Protocol::kFddi
+             ? analysis::ttp_feasible(set, ttp_params(config_),
+                                      config_.bandwidth)
+             : analysis::pdp_feasible(set, pdp_params(config_),
+                                      config_.bandwidth);
 }
 
 AdmissionDecision AdmissionController::try_admit(const msg::SyncStream& stream) {

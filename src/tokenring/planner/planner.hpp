@@ -12,39 +12,10 @@
 #include <optional>
 #include <string>
 
-#include "tokenring/analysis/pdp.hpp"
-#include "tokenring/analysis/ttp.hpp"
 #include "tokenring/msg/message_set.hpp"
+#include "tokenring/planner/protocol.hpp"
 
 namespace tokenring::planner {
-
-/// The three protocol implementations the paper compares.
-enum class Protocol {
-  kIeee8025,
-  kModified8025,
-  kFddi,
-};
-
-/// Display name, e.g. "FDDI timed token".
-const char* to_string(Protocol protocol);
-
-/// Static ring description for a controller. `ring`/`frame` defaults follow
-/// the protocol family's standard constants when constructed via
-/// `default_config`.
-struct PlannerConfig {
-  Protocol protocol = Protocol::kFddi;
-  BitsPerSecond bandwidth = mbps(100);
-  net::RingParams ring;
-  net::FrameFormat frame;
-  /// Asynchronous frame geometry (TTP overrun term only).
-  net::FrameFormat async_frame;
-
-  void validate() const;
-};
-
-/// Standard-conformant config for a protocol at a bandwidth.
-PlannerConfig default_config(Protocol protocol, BitsPerSecond bandwidth,
-                             int num_stations = 100);
 
 /// Outcome of an admission attempt.
 struct AdmissionDecision {

@@ -12,11 +12,10 @@
 #include "tokenring/analysis/ttp.hpp"
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/clock.hpp"
-#include "tokenring/fault/margins.hpp"
-#include "tokenring/net/standards.hpp"
 #include "tokenring/obs/json.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/planner/advisor.hpp"
+#include "tokenring/planner/protocol.hpp"
 
 namespace tokenring::serve {
 
@@ -28,28 +27,11 @@ struct DeadlineExceeded {
   double elapsed_ms = 0.0;
 };
 
-/// Same protocol split as tokenring_tool's parse_protocol (names are
-/// validated at parse time, so no error path here).
-struct ProtocolChoice {
-  bool is_ttp = false;
-  analysis::PdpVariant variant = analysis::PdpVariant::kStandard8025;
-};
-
-ProtocolChoice protocol_choice(const std::string& name) {
-  ProtocolChoice out;
-  if (name == "fddi") {
-    out.is_ttp = true;
-  } else if (name == "modified8025") {
-    out.variant = analysis::PdpVariant::kModified8025;
-  }
-  return out;
-}
-
-/// Same ring sizing rule as tokenring_tool.
-int ring_size_for(const msg::MessageSet& set) {
-  int n = std::max<int>(2, static_cast<int>(set.size()));
-  for (const auto& s : set.streams()) n = std::max(n, s.station + 1);
-  return n;
+/// The scenario config for a check query; the wire validated the name.
+planner::PlannerConfig query_config(const CheckQuery& query) {
+  return planner::scenario_config(
+      planner::parse_protocol(query.protocol).value(),
+      mbps(query.bandwidth_mbps), query.set);
 }
 
 /// Request latency buckets [us], log-spaced from sub-cache-hit to
@@ -276,30 +258,23 @@ void Engine::dispatch_async(Request request, const std::string& fallback_client,
 }
 
 std::string Engine::compute_check(const CheckQuery& query) {
-  const ProtocolChoice proto = protocol_choice(query.protocol);
-  const BitsPerSecond bw = mbps(query.bandwidth_mbps);
-  const int n = ring_size_for(query.set);
+  const planner::PlannerConfig config = query_config(query);
 
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.set_strict(true);
   w.begin_object();
   w.key("protocol").value_string(query.protocol);
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    const auto v = analysis::ttp_schedulable(query.set, p, bw);
+  if (config.protocol == planner::Protocol::kFddi) {
+    const auto v = analysis::ttp_schedulable(
+        query.set, planner::ttp_params(config), config.bandwidth);
     w.key("schedulable").value_bool(v.schedulable);
     w.key("ttrt_ms").value_number(to_milliseconds(v.ttrt));
     w.key("allocated_ms").value_number(to_milliseconds(v.allocated));
     w.key("available_ms").value_number(to_milliseconds(v.available));
   } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    const auto v = analysis::pdp_schedulable(query.set, p, bw);
+    const auto v = analysis::pdp_schedulable(
+        query.set, planner::pdp_params(config), config.bandwidth);
     w.key("schedulable").value_bool(v.schedulable);
     w.key("blocking_us").value_number(to_microseconds(v.blocking));
     w.key("misses").begin_array();
@@ -318,61 +293,29 @@ std::string Engine::compute_check(const CheckQuery& query) {
 }
 
 std::string Engine::compute_faultcheck(const CheckQuery& query) {
-  const ProtocolChoice proto = protocol_choice(query.protocol);
-  const BitsPerSecond bw = mbps(query.bandwidth_mbps);
-  const int n = ring_size_for(query.set);
-  const Seconds noise = milliseconds(query.noise_ms);
+  const auto rows = planner::fault_margin_rows(
+      query.set, query_config(query), milliseconds(query.noise_ms));
 
-  bool fault_free = false;
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.set_strict(true);
   w.begin_object();
   w.key("protocol").value_string(query.protocol);
   w.key("noise_ms").value_number(query.noise_ms);
-
-  std::ostringstream margins;
-  obs::JsonWriter mw(margins);
-  mw.set_strict(true);
-  mw.begin_array();
-  const auto add_row = [&](fault::FaultKind kind,
-                           const fault::FaultMarginReport& fmr) {
-    fault_free = fmr.fault_free_schedulable;
-    mw.begin_object();
-    mw.key("fault_kind").value_string(fault::to_string(kind));
-    mw.key("recovery_us").value_number(to_microseconds(fmr.recovery_per_fault));
+  w.key("schedulable").value_bool(rows.back().report.fault_free_schedulable);
+  w.key("margins").begin_array();
+  for (const auto& [kind, fmr] : rows) {
+    w.begin_object();
+    w.key("fault_kind").value_string(fault::to_string(kind));
+    w.key("recovery_us").value_number(to_microseconds(fmr.recovery_per_fault));
     if (fmr.margin < 0) {
-      mw.key("margin").value_null();
+      w.key("margin").value_null();
     } else {
-      mw.key("margin").value_int(fmr.margin);
+      w.key("margin").value_int(fmr.margin);
     }
-    mw.end_object();
-  };
-
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::ttp_fault_margin(query.set, p, bw, 0.0, budget));
-    }
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::pdp_fault_margin(query.set, p, bw, budget));
-    }
+    w.end_object();
   }
-  mw.end_array();
-
-  w.key("schedulable").value_bool(fault_free);
-  w.key("margins").value_raw(margins.str());
+  w.end_array();
   w.end_object();
   return os.str();
 }

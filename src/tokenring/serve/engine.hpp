@@ -27,11 +27,11 @@
 // re-checks its deadline at compute start, so work that expired while
 // queued is skipped, not executed.
 //
-// Compute handlers mirror the offline `tokenring_tool` subcommands call
-// for call (same ring construction, same frame format, same analysis entry
-// points), so a daemon verdict is bit-identical to what the CLI prints for
+// Compute handlers and the offline `tokenring_tool` subcommands share the
+// protocol table (planner/protocol.hpp: ring sizing, analysis parameters,
+// fault-margin rows), so a daemon verdict is the one the CLI prints for
 // the same query — the service is a faster path to the same answer, never
-// a different answer.
+// a different answer (tool_test's OfflineEqualsServed.* checks it).
 //
 // Compute runs on the Batcher's executor group dispatch; handlers
 // themselves are sequential (nested parallel_for on one pool would

@@ -1,7 +1,5 @@
 #include "tokenring/serve/wire.hpp"
 
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,6 +8,7 @@
 #include <utility>
 
 #include "tokenring/common/checks.hpp"
+#include "tokenring/planner/protocol.hpp"
 
 namespace tokenring::serve {
 
@@ -79,16 +78,6 @@ bool read_int(const obs::JsonValue& v, const char* name, std::int64_t min,
                            std::to_string(min));
   }
   return true;
-}
-
-constexpr std::array<std::string_view, 3> kProtocols = {"fddi", "ieee8025",
-                                                        "modified8025"};
-
-/// Index of `name` in kProtocols; kProtocols.size() when unknown.
-std::size_t protocol_index(std::string_view name) {
-  return static_cast<std::size_t>(
-      std::find(kProtocols.begin(), kProtocols.end(), name) -
-      kProtocols.begin());
 }
 
 /// Append the object bytes of `v` (a double's bit pattern, an integer).
@@ -261,10 +250,9 @@ bool parse_request(const obs::JsonValue& doc, Request& out,
                                obs::json_number(kDeadlineNsLimit / 1e6));
       }
     } else if (is_check && key == "protocol") {
-      if (!value.is_string() ||
-          protocol_index(value.as_string()) == kProtocols.size()) {
-        return fail(error,
-                    "\"protocol\" must be ieee8025|modified8025|fddi");
+      if (!value.is_string() || !planner::parse_protocol(value.as_string())) {
+        return fail(error, "\"protocol\" must be " +
+                               planner::protocol_keys("|"));
       }
       out.check.protocol = value.as_string();
     } else if (is_check && key == "bandwidth_mbps") {
@@ -344,7 +332,8 @@ std::string cache_key(const Request& request) {
       key.reserve(2 + 2 * sizeof(double) +
                   check.set.size() * (sizeof(int) + 3 * sizeof(double)));
       key += static_cast<char>(request.type);
-      key += static_cast<char>(protocol_index(check.protocol));
+      key += static_cast<char>(
+          planner::parse_protocol(check.protocol).value());
       append_bytes(key, check.bandwidth_mbps);
       if (request.type == RequestType::kFaultcheck) {
         append_bytes(key, check.noise_ms);

@@ -45,7 +45,7 @@ const char* to_string(RequestType type);
 
 /// check / faultcheck: one explicit scenario against one protocol.
 struct CheckQuery {
-  /// Validated protocol name: "fddi" | "ieee8025" | "modified8025".
+  /// Validated protocol key (planner::parse_protocol accepts it).
   std::string protocol = "fddi";
   double bandwidth_mbps = 100.0;
   msg::MessageSet set;

@@ -7,9 +7,15 @@
 #include "tokenring/common/checks.hpp"
 #include "tokenring/common/rng.hpp"
 #include "tokenring/obs/registry.hpp"
+#include "lsd_oracle.hpp"
 
 namespace tokenring::analysis {
 namespace {
+
+using reference::hyperbolic_product;
+using reference::liu_layland_bound;
+using reference::lsd_point_test;
+using reference::lsd_point_test_all;
 
 // ---- hand-checked classics -------------------------------------------------
 

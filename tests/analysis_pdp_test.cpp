@@ -9,6 +9,7 @@
 #include "tokenring/common/rng.hpp"
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/net/standards.hpp"
+#include "lsd_oracle.hpp"
 
 namespace tokenring::analysis {
 namespace {
@@ -237,7 +238,7 @@ TEST(PdpVerdictTest, LsdAgreesWithRtaOnRandomSets) {
       const auto set = gen.generate(rng).scaled(rng.uniform(1.0, 80.0));
       const BitsPerSecond bw = mbps(rng.uniform(2.0, 100.0));
       const auto rta = pdp_schedulable(set, p, bw);
-      const auto lsd = pdp_schedulable_lsd(set, p, bw);
+      const auto lsd = reference::pdp_schedulable_lsd(set, p, bw);
       ASSERT_EQ(rta.schedulable, lsd.schedulable)
           << "variant=" << to_string(variant) << " trial=" << trial;
     }

@@ -17,6 +17,7 @@
 #include "tokenring/net/standards.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
+#include "lsd_oracle.hpp"
 #include "reference_search.hpp"
 
 namespace tokenring {
@@ -140,7 +141,7 @@ TEST(Deadline, RtaComparesAgainstDeadlineNotPeriod) {
   EXPECT_FALSE(analysis::response_time_analysis(tasks, 0.0).schedulable);
   tasks[0].deadline = 0.7;
   EXPECT_TRUE(analysis::response_time_analysis(tasks, 0.0).schedulable);
-  EXPECT_TRUE(analysis::lsd_point_test_all(tasks, 0.0).schedulable);
+  EXPECT_TRUE(reference::lsd_point_test_all(tasks, 0.0).schedulable);
 }
 
 TEST(Deadline, LsdAgreesWithRtaUnderConstrainedDeadlines) {
@@ -161,7 +162,7 @@ TEST(Deadline, LsdAgreesWithRtaUnderConstrainedDeadlines) {
               });
     const Seconds blocking = rng.uniform(0.0, 0.1);
     EXPECT_EQ(analysis::response_time_analysis(tasks, blocking).schedulable,
-              analysis::lsd_point_test_all(tasks, blocking).schedulable)
+              reference::lsd_point_test_all(tasks, blocking).schedulable)
         << "trial " << trial;
   }
 }

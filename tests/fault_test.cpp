@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -256,6 +257,50 @@ TEST(Margins, CostlierFaultKindsShrinkTheMargin) {
                        FaultBudget{FaultKind::kFrameCorruption, 0.0});
   const auto ttp_loss = ttp_fault_margin(set, ttp_params(), mbps(100), ttrt);
   EXPECT_GT(ttp_corruption.margin, ttp_loss.margin);
+}
+
+TEST(Margins, SaturateInsteadOfWrappingWhenOutagesAreTiny) {
+  // 3,000 s periods at 10 Gbit/s: more than INT_MAX sub-microsecond outages
+  // fit in one period. The search bracket clamps, so a shorter outage
+  // saturates at kMaxFaultMargin instead of wrapping to a margin of 0.
+  msg::MessageSet set;
+  set.add({.period = 3000.0, .payload_bits = 10'000.0, .station = 0});
+  set.add({.period = 3000.0, .payload_bits = 20'000.0, .station = 1});
+  analysis::PdpParams p = pdp_params();
+  p.ring = net::ieee8025_ring(2);
+  const BitsPerSecond bw = mbps(10'000);
+
+  std::vector<FaultMarginReport> reports;
+  for (FaultKind kind : kAllFaultKinds) {
+    reports.push_back(
+        pdp_fault_margin(set, p, bw, FaultBudget{kind, 1e-3}));
+  }
+  for (Seconds noise = 1e-9; noise < 1.0; noise *= 10.0) {
+    reports.push_back(pdp_fault_margin(
+        set, p, bw, FaultBudget{FaultKind::kNoiseBurst, noise}));
+  }
+  std::sort(reports.begin(), reports.end(),
+            [](const FaultMarginReport& a, const FaultMarginReport& b) {
+              return a.recovery_per_fault < b.recovery_per_fault;
+            });
+  EXPECT_EQ(reports.front().margin, kMaxFaultMargin);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    ASSERT_TRUE(reports[i].fault_free_schedulable);
+    EXPECT_GT(reports[i].margin, 0) << "outage "
+                                    << reports[i].recovery_per_fault;
+    if (i > 0) {
+      EXPECT_LE(reports[i].margin, reports[i - 1].margin)
+          << "outage " << reports[i].recovery_per_fault << " s";
+    }
+  }
+
+  const auto corruption =
+      pdp_fault_margin(set, p, bw,
+                       FaultBudget{FaultKind::kFrameCorruption, 0.0});
+  EXPECT_EQ(corruption.margin, kMaxFaultMargin);
+  const auto loss = pdp_fault_margin(set, p, bw);
+  EXPECT_GT(loss.margin, 0);
+  EXPECT_LT(loss.margin, kMaxFaultMargin);
 }
 
 // ---- margin vs simulation (the conservativeness bracket) --------------------

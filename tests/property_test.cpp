@@ -22,6 +22,7 @@
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/msg/io.hpp"
 #include "tokenring/net/standards.hpp"
+#include "lsd_oracle.hpp"
 #include "reference_search.hpp"
 
 namespace tokenring {
@@ -342,7 +343,7 @@ TEST(FastKernelDifferential, ScreenedVerdictsMatchExactOn10kTaskSets) {
     const bool exact_rta =
         analysis::response_time_analysis(tasks, blocking).schedulable;
     const bool exact_lsd =
-        analysis::lsd_point_test_all(tasks, blocking).schedulable;
+        reference::lsd_point_test_all(tasks, blocking).schedulable;
     ASSERT_EQ(exact_rta, exact_lsd) << "exact analyses split at trial "
                                     << trial;
     ASSERT_EQ(exact_rta, analysis::rta_feasible_fast(tasks, blocking))

@@ -1,6 +1,7 @@
 // End-to-end tests of the tokenring_tool CLI binary: exercises argument
 // parsing, exit codes, and the scenario-file round trip through the real
-// executable (path injected by CMake as TOKENRING_TOOL_PATH).
+// executable (path injected by CMake as TOKENRING_TOOL_PATH), and checks
+// that the tool and the daemon's compute handlers give the same answers.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,9 +10,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "tokenring/msg/io.hpp"
+#include "tokenring/obs/json.hpp"
+#include "tokenring/serve/engine.hpp"
 
 namespace {
+
+using namespace tokenring;
 
 #ifndef TOKENRING_TOOL_PATH
 #error "TOKENRING_TOOL_PATH must be defined by the build"
@@ -289,5 +299,143 @@ TEST_F(ToolTest, BadFormatValueFails) {
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_NE(r.output.find("unknown --format"), std::string::npos);
 }
+
+// ---- offline equals served ------------------------------------------------------
+//
+// `tokenring_tool check`/`faultcheck` and the daemon's compute handlers
+// answer the same query; they must agree on the verdict, on the stations
+// that miss and on every fault kind's margin.
+
+/// Parsed document, kept alive for the values taken out of it.
+obs::JsonValue parse_or_fail(const std::string& text) {
+  obs::JsonParseResult parsed = obs::parse_json(text);
+  EXPECT_TRUE(parsed.ok) << parsed.error << " in: " << text;
+  return parsed.value;
+}
+
+/// Rows of the result table `name` in a --format=json run manifest.
+std::vector<obs::JsonValue> manifest_rows(const std::string& manifest,
+                                          std::string_view name) {
+  const obs::JsonValue doc = parse_or_fail(manifest);
+  const obs::JsonValue* results = doc.find("results");
+  if (results == nullptr) return {};
+  for (const obs::JsonValue& table : results->items()) {
+    if (table.find("name")->as_string() == name) {
+      const auto rows = table.find("rows")->items();
+      return {rows.begin(), rows.end()};
+    }
+  }
+  ADD_FAILURE() << "no table " << name << " in: " << manifest;
+  return {};
+}
+
+/// Stations the table-mode `check` report names as missing.
+std::set<int> tool_missing_stations(const std::string& output) {
+  std::set<int> stations;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    int station = -1;
+    if (std::sscanf(line.c_str(), "  station %d misses", &station) == 1) {
+      stations.insert(station);
+    }
+  }
+  return stations;
+}
+
+class OfflineEqualsServed
+    : public ToolTest,
+      public ::testing::WithParamInterface<const char*> {
+ protected:
+  serve::CheckQuery query(const std::string& scenario) const {
+    serve::CheckQuery q;
+    q.protocol = GetParam();
+    q.bandwidth_mbps = 100.0;
+    q.set = msg::load_message_set(scenario);
+    return q;
+  }
+  std::string flags(const std::string& scenario) const {
+    return "--file=" + scenario + " --protocol=" + GetParam() +
+           " --bandwidth-mbps=100";
+  }
+  // Overloaded for every protocol, but only station 2 misses under PDP.
+  void SetUp() override {
+    ToolTest::SetUp();
+    mixed_ = temp_path("tool_test_mixed.csv");
+    write_scenario(mixed_, "0,10,100000\n1,20,100000\n2,40,3600000\n");
+  }
+  void TearDown() override {
+    std::remove(mixed_.c_str());
+    ToolTest::TearDown();
+  }
+  std::string mixed_;
+};
+
+TEST_P(OfflineEqualsServed, CheckVerdictAndMissingStations) {
+  for (const std::string& scenario : {light_, mixed_}) {
+    const auto table = run_tool("check " + flags(scenario));
+    const auto json = run_tool("check " + flags(scenario) + " --format=json");
+    ASSERT_EQ(json.exit_code, table.exit_code) << json.output;
+    const auto verdict = manifest_rows(json.output, "verdict");
+    ASSERT_EQ(verdict.size(), 1u) << json.output;
+    const bool offline = verdict[0].find("schedulable")->as_string() == "yes";
+    EXPECT_EQ(json.exit_code, offline ? 0 : 2);
+
+    const obs::JsonValue served =
+        parse_or_fail(serve::Engine::compute_check(query(scenario)));
+    EXPECT_EQ(served.find("schedulable")->as_bool(), offline) << scenario;
+    EXPECT_EQ(served.find("protocol")->as_string(),
+              verdict[0].find("protocol")->as_string());
+    std::set<int> served_missing;
+    if (const obs::JsonValue* misses = served.find("misses")) {
+      for (const obs::JsonValue& m : misses->items()) {
+        served_missing.insert(static_cast<int>(m.find("station")->as_int64()));
+      }
+    }
+    EXPECT_EQ(served_missing, tool_missing_stations(table.output))
+        << table.output;
+    if (scenario == mixed_ && std::string(GetParam()) != "fddi") {
+      EXPECT_EQ(served_missing, std::set<int>{2});
+    }
+    EXPECT_EQ(offline, scenario == light_);
+  }
+}
+
+TEST_P(OfflineEqualsServed, FaultcheckVerdictAndEveryMargin) {
+  for (const std::string& scenario : {light_, mixed_}) {
+    const auto json =
+        run_tool("faultcheck " + flags(scenario) + " --format=json");
+    const auto rows = manifest_rows(json.output, "fault_margins");
+
+    const obs::JsonValue served =
+        parse_or_fail(serve::Engine::compute_faultcheck(query(scenario)));
+    const bool schedulable = served.find("schedulable")->as_bool();
+    EXPECT_EQ(json.exit_code, schedulable ? 0 : 2) << json.output;
+    EXPECT_EQ(schedulable, scenario == light_);
+    const auto margins = served.find("margins")->items();
+    ASSERT_EQ(rows.size(), margins.size()) << json.output;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const obs::JsonValue& offline = rows[i];
+      const obs::JsonValue& online = margins[i];
+      EXPECT_EQ(offline.find("fault_kind")->as_string(),
+                online.find("fault_kind")->as_string());
+      const obs::JsonValue* margin = offline.find("margin");
+      if (online.find("margin")->is_null()) {
+        EXPECT_EQ(margin->as_string(), "-");
+      } else {
+        ASSERT_TRUE(margin->is_number()) << json.output;
+        EXPECT_EQ(margin->as_int64(), online.find("margin")->as_int64())
+            << online.find("fault_kind")->as_string();
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, OfflineEqualsServed,
+                         ::testing::Values("ieee8025", "modified8025",
+                                           "fddi"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace

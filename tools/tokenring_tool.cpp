@@ -19,12 +19,11 @@
 // Exit codes: 0 = success / schedulable, 2 = not schedulable (check,
 // faultcheck, plan, simulate), 1 = usage or input error.
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "tokenring/analysis/async_capacity.hpp"
@@ -37,11 +36,11 @@
 #include "tokenring/fault/margins.hpp"
 #include "tokenring/msg/generator.hpp"
 #include "tokenring/msg/io.hpp"
-#include "tokenring/net/standards.hpp"
 #include "tokenring/obs/registry.hpp"
 #include "tokenring/obs/report.hpp"
 #include "tokenring/obs/trace_sinks.hpp"
 #include "tokenring/planner/advisor.hpp"
+#include "tokenring/planner/protocol.hpp"
 #include "tokenring/serve/server.hpp"
 #include "tokenring/sim/config.hpp"
 #include "tokenring/sim/workload.hpp"
@@ -50,41 +49,38 @@ using namespace tokenring;
 
 namespace {
 
-struct ParsedProtocol {
-  bool is_ttp = false;
-  analysis::PdpVariant variant = analysis::PdpVariant::kStandard8025;
-};
-
-bool parse_protocol(const std::string& name, ParsedProtocol& out) {
-  if (name == "fddi") {
-    out.is_ttp = true;
-    return true;
-  }
-  if (name == "ieee8025") {
-    out.variant = analysis::PdpVariant::kStandard8025;
-    return true;
-  }
-  if (name == "modified8025") {
-    out.variant = analysis::PdpVariant::kModified8025;
-    return true;
-  }
-  std::fprintf(stderr,
-               "unknown protocol '%s' (ieee8025|modified8025|fddi)\n",
-               name.c_str());
-  return false;
-}
-
-int ring_size_for(const msg::MessageSet& set) {
-  int n = std::max<int>(2, static_cast<int>(set.size()));
-  for (const auto& s : set.streams()) n = std::max(n, s.station + 1);
-  return n;
-}
-
 msg::MessageSet load_or_die(const std::string& path) {
   if (path.empty()) {
     throw msg::ParseError("--file is required for this command");
   }
   return msg::load_message_set(path);
+}
+
+/// --protocol and --bandwidth-mbps, declared after a command's --file.
+void declare_protocol_flags(CliFlags& flags) {
+  flags.declare("protocol", "fddi", planner::protocol_keys(" | "));
+  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+}
+
+struct Scenario {
+  msg::MessageSet set;
+  planner::PlannerConfig config;
+};
+
+/// The --file scenario on a ring sized for it under --protocol; nullopt,
+/// after saying why, for an unknown protocol.
+std::optional<Scenario> load_scenario(const CliFlags& flags) {
+  const std::string name = flags.get_string("protocol");
+  const auto protocol = planner::parse_protocol(name);
+  if (!protocol) {
+    std::fprintf(stderr, "unknown protocol '%s' (%s)\n", name.c_str(),
+                 planner::protocol_keys("|").c_str());
+    return std::nullopt;
+  }
+  auto set = load_or_die(flags.get_string("file"));
+  auto config = planner::scenario_config(
+      *protocol, mbps(flags.get_double("bandwidth-mbps")), set);
+  return Scenario{std::move(set), std::move(config)};
 }
 
 /// Record a table in the manifest and print it the way this tool always
@@ -104,39 +100,30 @@ void emit_table(obs::RunReport& report, const std::string& name,
 
 void flags_check(CliFlags& flags) {
   flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+  declare_protocol_flags(flags);
 }
 
 int cmd_check(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
+  const auto scenario = load_scenario(flags);
+  if (!scenario) return 1;
+  const auto& [set, config] = *scenario;
+  const char* key = planner::protocol_key(config.protocol);
 
   bool ok;
   Table verdict({"protocol", "schedulable"});
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    const auto v = analysis::ttp_schedulable(set, p, bw);
+  if (config.protocol == planner::Protocol::kFddi) {
+    const auto v = analysis::ttp_schedulable(set, planner::ttp_params(config),
+                                             config.bandwidth);
     ok = v.schedulable;
     report.note("%s: %s (TTRT %.3f ms, allocated %.3f / available %.3f ms)\n",
-                flags.get_string("protocol").c_str(),
-                ok ? "SCHEDULABLE" : "NOT SCHEDULABLE",
+                key, ok ? "SCHEDULABLE" : "NOT SCHEDULABLE",
                 to_milliseconds(v.ttrt), to_milliseconds(v.allocated),
                 to_milliseconds(v.available));
   } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    const auto v = analysis::pdp_schedulable(set, p, bw);
+    const auto v = analysis::pdp_schedulable(set, planner::pdp_params(config),
+                                             config.bandwidth);
     ok = v.schedulable;
-    report.note("%s: %s (blocking %.1f us)\n",
-                flags.get_string("protocol").c_str(),
+    report.note("%s: %s (blocking %.1f us)\n", key,
                 ok ? "SCHEDULABLE" : "NOT SCHEDULABLE",
                 to_microseconds(v.blocking));
     for (const auto& r : v.reports) {
@@ -147,7 +134,7 @@ int cmd_check(const CliFlags& flags, obs::RunReport& report) {
       }
     }
   }
-  verdict.add_row({flags.get_string("protocol"), ok ? "yes" : "no"});
+  verdict.add_row({key, ok ? "yes" : "no"});
   report.record_table("verdict", verdict);
   if (report.format() == obs::OutputFormat::kCsv) {
     verdict.print_csv(std::cout);
@@ -159,55 +146,30 @@ int cmd_check(const CliFlags& flags, obs::RunReport& report) {
 
 void flags_faultcheck(CliFlags& flags) {
   flags.declare("file", "", "scenario CSV (station,period_ms,payload_bits)");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+  declare_protocol_flags(flags);
   flags.declare("noise-ms", "1", "noise burst duration [ms]");
 }
 
 int cmd_faultcheck(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
-  const Seconds noise = milliseconds(flags.get_double("noise-ms"));
+  const auto scenario = load_scenario(flags);
+  if (!scenario) return 1;
+  const auto& [set, config] = *scenario;
 
   // One row per fault kind: how many such faults per period the fault-aware
   // criterion absorbs before the guarantee breaks.
-  bool fault_free = false;
+  const auto rows = planner::fault_margin_rows(
+      set, config, milliseconds(flags.get_double("noise-ms")));
   Table table({"fault_kind", "recovery_us", "margin"});
-  const auto add_row = [&](fault::FaultKind kind,
-                           const fault::FaultMarginReport& fmr) {
-    fault_free = fmr.fault_free_schedulable;
+  for (const auto& [kind, fmr] : rows) {
     table.add_row({fault::to_string(kind),
                    fmt(to_microseconds(fmr.recovery_per_fault), 1),
                    fmr.margin < 0 ? std::string("-")
                                   : fmt(static_cast<long long>(fmr.margin))});
-  };
-
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::ttp_fault_margin(set, p, bw, 0.0, budget));
-    }
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    for (fault::FaultKind kind : fault::kAllFaultKinds) {
-      if (kind == fault::FaultKind::kStationRejoin) continue;  // = crash cost
-      fault::FaultBudget budget{kind, noise};
-      add_row(kind, fault::pdp_fault_margin(set, p, bw, budget));
-    }
   }
+  const bool fault_free = rows.back().report.fault_free_schedulable;
 
   report.note("%s at %.0f Mbps: %s fault-free\n",
-              flags.get_string("protocol").c_str(), to_mbps(bw),
+              planner::protocol_key(config.protocol), to_mbps(config.bandwidth),
               fault_free ? "SCHEDULABLE" : "NOT SCHEDULABLE");
   emit_table(report, "fault_margins", table);
   report.note(
@@ -226,11 +188,9 @@ void flags_plan(CliFlags& flags) {
 int cmd_plan(const CliFlags& flags, obs::RunReport& report) {
   const auto set = load_or_die(flags.get_string("file"));
   const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
+  const auto ttp = planner::ttp_params(
+      planner::scenario_config(planner::Protocol::kFddi, bw, set));
 
-  analysis::TtpParams ttp;
-  ttp.ring = net::fddi_ring(n);
-  ttp.frame = ttp.async_frame = net::paper_frame_format();
   const auto v = analysis::ttp_schedulable(set, ttp, bw);
   report.note("FDDI plan at %.0f Mbps: TTRT %.3f ms (%s)\n", to_mbps(bw),
               to_milliseconds(v.ttrt),
@@ -260,8 +220,7 @@ int cmd_plan(const CliFlags& flags, obs::RunReport& report) {
 
 void flags_simulate(CliFlags& flags) {
   flags.declare("file", "", "scenario CSV");
-  flags.declare("protocol", "fddi", "ieee8025 | modified8025 | fddi");
-  flags.declare("bandwidth-mbps", "100", "link bandwidth [Mbit/s]");
+  declare_protocol_flags(flags);
   flags.declare("horizon-ms", "500", "simulated time [ms]");
   flags.declare("async", "saturating", "none|saturating|poisson");
   flags.declare("async-fps", "1000", "Poisson async frames/s per station");
@@ -271,11 +230,9 @@ void flags_simulate(CliFlags& flags) {
 }
 
 int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
-  ParsedProtocol proto;
-  if (!parse_protocol(flags.get_string("protocol"), proto)) return 1;
-  const auto set = load_or_die(flags.get_string("file"));
-  const BitsPerSecond bw = mbps(flags.get_double("bandwidth-mbps"));
-  const int n = ring_size_for(set);
+  const auto scenario = load_scenario(flags);
+  if (!scenario) return 1;
+  const auto& [set, config] = *scenario;
 
   sim::AsyncModel async_model;
   const std::string async_name = flags.get_string("async");
@@ -300,31 +257,17 @@ int cmd_simulate(const CliFlags& flags, obs::RunReport& report) {
     }
   }
 
-  sim::SimMetrics m;
-  if (proto.is_ttp) {
-    analysis::TtpParams p;
-    p.ring = net::fddi_ring(n);
-    p.frame = p.async_frame = net::paper_frame_format();
-    auto cfg = sim::make_sim_config(set, p, bw);
-    cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
-    cfg.async_model = async_model;
-    cfg.async_frames_per_second = flags.get_double("async-fps");
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    cfg.trace = trace.get();
-    m = sim::run_simulation(set, cfg);
-  } else {
-    analysis::PdpParams p;
-    p.ring = net::ieee8025_ring(n);
-    p.frame = net::paper_frame_format();
-    p.variant = proto.variant;
-    auto cfg = sim::make_sim_config(set, p, bw);
-    cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
-    cfg.async_model = async_model;
-    cfg.async_frames_per_second = flags.get_double("async-fps");
-    cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    cfg.trace = trace.get();
-    m = sim::run_simulation(set, cfg);
-  }
+  auto cfg = config.protocol == planner::Protocol::kFddi
+                 ? sim::make_sim_config(set, planner::ttp_params(config),
+                                        config.bandwidth)
+                 : sim::make_sim_config(set, planner::pdp_params(config),
+                                        config.bandwidth);
+  cfg.horizon = milliseconds(flags.get_double("horizon-ms"));
+  cfg.async_model = async_model;
+  cfg.async_frames_per_second = flags.get_double("async-fps");
+  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
+  cfg.trace = trace.get();
+  const sim::SimMetrics m = sim::run_simulation(set, cfg);
   report.note("%s", m.summary().c_str());
 
   Table table({"released", "completed", "misses", "miss_ratio",
